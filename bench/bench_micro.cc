@@ -7,7 +7,6 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/acg.h"
 #include "core/query_generation.h"
 #include "keyword/engine.h"
@@ -137,19 +136,15 @@ void BM_KeywordSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_KeywordSearch);
 
-/// Parallel Stage-2 shared execution: one large query group (all queries
-/// generated from the L^500 annotations) executed through the shared
-/// executor on a pool of `range(0)` workers; 0 = the sequential path.
-///
-/// scan_containment=true puts ms-scale LIKE-scan work behind every
-/// distinct statement (the paper's RDBMS cost model), so the per-
-/// statement parallelism is visible: on an N-core machine the 8-worker
-/// variant should run close to min(8, N)x faster than Arg(0). Timed with
-/// UseRealTime() because the calling thread mostly blocks on futures.
-void BM_SharedExecutionThreads(benchmark::State& state) {
+/// Stage-2 shared execution: one large query group (all queries
+/// generated from the L^500 annotations) compiled, executed and merged
+/// through the shared executor. The statement-result memo is off, so
+/// every iteration executes every distinct statement instead of serving
+/// memo hits from the first one.
+void BM_SharedExecution(benchmark::State& state) {
   BioDataset* ds = Dataset();
   KeywordSearchParams params;
-  params.scan_containment = true;
+  params.memoize_sql_results = false;
   KeywordSearchEngine engine(&ds->catalog, &ds->meta, params);
 
   QueryGenerator generator(&ds->meta);
@@ -161,13 +156,9 @@ void BM_SharedExecutionThreads(benchmark::State& state) {
                  generated.queries.end());
   }
 
-  const size_t num_threads = static_cast<size_t>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 0) pool = std::make_unique<ThreadPool>(num_threads);
-
   size_t distinct = 0;
   for (auto _ : state) {
-    SharedKeywordExecutor shared(&engine, pool.get());
+    SharedKeywordExecutor shared(&engine);
     std::vector<std::vector<SearchHit>> results;
     benchmark::DoNotOptimize(shared.ExecuteGroup(group, &results));
     distinct = shared.stats().distinct_sql;
@@ -175,14 +166,7 @@ void BM_SharedExecutionThreads(benchmark::State& state) {
   state.counters["queries"] = static_cast<double>(group.size());
   state.counters["distinct_sql"] = static_cast<double>(distinct);
 }
-BENCHMARK(BM_SharedExecutionThreads)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_SharedExecution)->Unit(benchmark::kMillisecond);
 
 void BM_AcgKHop(benchmark::State& state) {
   BioDataset* ds = Dataset();

@@ -69,14 +69,6 @@ inline constexpr LockRank kLockRankDurabilityManager =
 /// obs rank sits below.
 inline constexpr LockRank kLockRankCommonPool = {"common.pool", 70};
 
-/// TraceBuilder's span list (obs/trace.h).
-inline constexpr LockRank kLockRankObsTraceBuilder = {"obs.tracebuilder", 80};
-
-/// TraceRecorder's trace ring (obs/trace.h); a finished builder's trace
-/// is recorded into it, so the recorder ranks below the builder.
-inline constexpr LockRank kLockRankObsTraceRecorder =
-    {"obs.tracerecorder", 85};
-
 /// EventLog's ring + sink (obs/event.h). Record() probes a fault point
 /// and invokes the sink under this lock.
 inline constexpr LockRank kLockRankObsEventLog = {"obs.eventlog", 90};

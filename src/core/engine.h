@@ -24,7 +24,6 @@
 #include "meta/nebula_meta.h"
 #include "obs/event.h"
 #include "obs/export.h"
-#include "obs/trace.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
 
@@ -56,16 +55,12 @@ struct NebulaConfig {
   /// excessive share of the database, skip verification submission.
   bool enable_spam_guard = true;
   SpamGuardParams spam_guard;
-  /// Size of the engine-owned worker pool for parallel Stage-2 execution
-  /// and batch ingest. 0 keeps everything sequential — bit-for-bit the
-  /// historical behavior. N >= 1 executes each query group's distinct SQL
-  /// (and the batch's Stage-1 generation) on N workers; results and stats
-  /// stay identical to the sequential path (see DESIGN.md "Concurrency
-  /// model").
+  /// Size of the engine-owned worker pool, whose one job is to pipeline
+  /// batch Stage 1 in InsertAnnotations. 0 keeps batch ingest a plain
+  /// loop over InsertAnnotation; N >= 1 generates the batch's keyword
+  /// queries on N workers ahead of the sequential stages. Results stay
+  /// identical either way (see DESIGN.md "Concurrency model").
   size_t num_threads = 0;
-  /// Ring-buffer capacity of the engine's TraceRecorder: how many of the
-  /// most recent per-annotation span trees DumpTraces() can return.
-  size_t trace_capacity = 128;
   /// Wide-event log (one JSON-lines record per insert / search /
   /// shared-group execution; DESIGN.md §7). `event_capacity` bounds the
   /// in-memory ring (0 keeps no lines); `event_sample_rate` is the
@@ -147,8 +142,8 @@ class NebulaEngine {
   /// each request in order (reports come back in request order), but with
   /// config().num_threads > 0 the batch's Stage-1 query generation — a
   /// pure function of the metadata and the text — runs ahead on the worker
-  /// pool while the stateful stages (0, 2, 3) proceed in request order,
-  /// and each annotation's Stage 2 executes its SQL on the same pool.
+  /// pool while the stateful stages (0, 2, 3) proceed sequentially in
+  /// request order on the caller's thread.
   [[nodiscard]] Result<std::vector<AnnotationReport>> InsertAnnotations(
       std::span<const AnnotationRequest> requests);
 
@@ -202,13 +197,6 @@ class NebulaEngine {
   static std::string DumpMetrics(
       obs::ExportFormat format = obs::ExportFormat::kPrometheus);
 
-  /// Serializes this engine's recent per-annotation span trees as JSON
-  /// (bounded by config().trace_capacity; oldest evicted first).
-  std::string DumpTraces() const;
-
-  obs::TraceRecorder& trace_recorder() { return trace_recorder_; }
-  const obs::TraceRecorder& trace_recorder() const { return trace_recorder_; }
-
   /// This engine's wide-event log (bounded by config().event_capacity;
   /// see DESIGN.md §7 for the record schema).
   obs::EventLog& event_log() { return event_log_; }
@@ -219,32 +207,25 @@ class NebulaEngine {
 
  private:
   /// Stage 0: stores the annotation and its focal (True) attachments.
-  /// When traced, records an "acg_update" span under `parent_span`.
-  [[nodiscard]] Result<AnnotationId> StoreWithFocal(const std::string& text,
-                                      const std::vector<TupleId>& focal,
-                                      const std::string& author,
-                                      obs::TraceBuilder* tracer = nullptr,
-                                      uint32_t parent_span = 0);
-  /// Stage 2 for an already-generated query group. When traced, the
-  /// spreading decision, mini-db build, and per-statement executions are
-  /// recorded as children of `parent_span`.
+  [[nodiscard]] Result<AnnotationId> StoreWithFocal(
+      const std::string& text, const std::vector<TupleId>& focal,
+      const std::string& author);
+  /// Stage 2 for an already-generated query group.
   [[nodiscard]] Result<AnnotationReport> DiscoverWithQueries(
       AnnotationId annotation, const std::vector<TupleId>& focal,
-      QueryGenerationResult generated, obs::TraceBuilder* tracer = nullptr,
-      uint32_t parent_span = 0);
+      QueryGenerationResult generated);
   /// Spam guard + Stage 3 on a discovery report. Under durability the
   /// stage-3 commit unit (possibly empty, when spam-guarded) is journaled
   /// before the tasks are applied; a journaling failure surfaces here and
   /// leaves stage 3 unapplied.
-  [[nodiscard]] Status SubmitCandidates(AnnotationReport* report,
-                                        obs::TraceBuilder* tracer = nullptr,
-                                        uint32_t parent_span = 0);
+  [[nodiscard]] Status SubmitCandidates(AnnotationReport* report);
   /// Journals `unit` through the durability manager, preceded by a meta
   /// blob unit whenever the metadata version changed since the last
   /// journaled one.
   [[nodiscard]] Status JournalUnit(durability::CommitUnit* unit);
-  /// The full stage 0-3 pipeline for one annotation, traced and metered;
-  /// `pregenerated`, when given, short-circuits Stage 1 (batch ingest).
+  /// The full stage 0-3 pipeline for one annotation, metered and recorded
+  /// as one wide event; `pregenerated`, when given, short-circuits Stage 1
+  /// (batch ingest).
   [[nodiscard]] Result<AnnotationReport> InsertOne(const std::string& text,
                                      const std::vector<TupleId>& focal,
                                      const std::string& author,
@@ -258,7 +239,6 @@ class NebulaEngine {
   KeywordSearchEngine search_engine_;
   PlanCache plan_cache_;
   VerificationManager verification_;
-  obs::TraceRecorder trace_recorder_;
   obs::EventLog event_log_;
   std::unique_ptr<durability::Manager> durability_;
   durability::RecoveryInfo recovery_info_;

@@ -1,7 +1,6 @@
 #include "core/identify.h"
 
 #include <algorithm>
-#include <future>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -9,7 +8,6 @@
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/sync.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
@@ -128,7 +126,7 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
   // scaled by its query's generation weight.
   //
   // With a plan cache attached, the whole group's compilation is resolved
-  // up front (cached or cold) and every execution path below consumes the
+  // up front (cached or cold) and both execution paths below consume the
   // precompiled plans; candidates are identical either way.
   const bool use_plans = plan_cache_ != nullptr && params_.use_plan_cache;
   std::vector<std::vector<GeneratedSql>> plans;
@@ -136,72 +134,22 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
     plans = plan_cache_->GetOrCompileGroup(*engine_, queries);
   }
   std::vector<std::vector<SearchHit>> per_query;
-  // Records one "query" span for an isolated-path query execution.
-  auto trace_query = [this](const KeywordQuery& q, uint64_t start_us,
-                            uint64_t duration_us) {
-    if (tracer_ == nullptr) return;
-    tracer_->AddCompleteSpan("query", trace_parent_, start_us, duration_us,
-                             q.label.empty() ? q.ToString() : q.label);
-  };
   if (params_.shared_execution) {
-    SharedKeywordExecutor shared(engine_, pool_, tracer_, trace_parent_);
+    SharedKeywordExecutor shared(engine_);
     NEBULA_RETURN_NOT_OK(shared.ExecuteGroup(queries, &per_query, mini_db,
                                              use_plans ? &plans : nullptr));
-  } else if (pool_ != nullptr && queries.size() > 1) {
-    // Isolated queries are independent of each other: run each whole
-    // query on the pool; collect answers and fold stats in query order so
-    // the outcome matches sequential execution exactly.
-    struct QueryOutcome {
-      Result<std::vector<SearchHit>> hits = std::vector<SearchHit>{};
-      ExecStats stats;
-    };
-    std::vector<std::future<QueryOutcome>> outcomes;
-    outcomes.reserve(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const KeywordQuery& q = queries[qi];
-      outcomes.push_back(pool_->Submit(
-          [this, &q, qi, mini_db, &trace_query, use_plans, &plans] {
-            QueryOutcome out;
-            const uint64_t start_us =
-                tracer_ != nullptr ? tracer_->ElapsedMicros() : 0;
-            Stopwatch watch;
-            out.hits = use_plans
-                           ? engine_->SearchPlan(plans[qi], mini_db, &out.stats)
-                           : engine_->Search(q, mini_db, &out.stats);
-            trace_query(q, start_us, watch.ElapsedMicros());
-            return out;
-          }));
-    }
-    per_query.resize(queries.size());
-    // Join all tasks before any early return: workers reference `queries`.
-    Status status = Status::OK();
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      QueryOutcome out = outcomes[qi].get();
-      engine_->AccumulateStats(out.stats);
-      if (!out.hits.ok()) {
-        if (status.ok()) status = out.hits.status();
-        continue;
-      }
-      per_query[qi] = std::move(out.hits).value();
-    }
-    NEBULA_RETURN_NOT_OK(status);
   } else {
     per_query.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const KeywordQuery& q = queries[qi];
-      const uint64_t start_us =
-          tracer_ != nullptr ? tracer_->ElapsedMicros() : 0;
-      Stopwatch watch;
       Result<std::vector<SearchHit>> hits = std::vector<SearchHit>{};
       if (use_plans) {
         ExecStats one;
         hits = engine_->SearchPlan(plans[qi], mini_db, &one);
         engine_->AccumulateStats(one);
       } else {
-        hits = engine_->Search(q, mini_db);
+        hits = engine_->Search(queries[qi], mini_db);
       }
       NEBULA_RETURN_NOT_OK(hits.status());
-      trace_query(q, start_us, watch.ElapsedMicros());
       per_query.push_back(std::move(hits).value());
     }
   }

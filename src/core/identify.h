@@ -8,14 +8,12 @@
 #include "common/lock_rank.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "core/acg.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
 #include "keyword/shared_executor.h"
 #include "meta/nebula_meta.h"
-#include "obs/trace.h"
 #include "storage/schema.h"
 
 namespace nebula {
@@ -110,26 +108,11 @@ class PlanCache {
 /// §6.2 focal-based confidence adjustment).
 class TupleIdentifier {
  public:
-  /// `pool`, when given, parallelizes query execution: the shared executor
-  /// runs its distinct statements on the pool, and the isolated path runs
-  /// whole queries on it. Candidates (order and confidences) and engine
-  /// ExecStats totals are identical to the sequential path.
-  ///
-  /// `tracer`, when given, records the per-statement ("sql") or per-query
-  /// ("query") execution spans as children of `trace_parent`.
   /// `plan_cache`, when given, serves the group's compiled plans (subject
   /// to params.use_plan_cache); results are identical to recompiling.
   TupleIdentifier(KeywordSearchEngine* engine, const Acg* acg,
-                  IdentifyParams params = {}, ThreadPool* pool = nullptr,
-                  obs::TraceBuilder* tracer = nullptr,
-                  uint32_t trace_parent = 0, PlanCache* plan_cache = nullptr)
-      : engine_(engine),
-        acg_(acg),
-        params_(params),
-        pool_(pool),
-        tracer_(tracer),
-        trace_parent_(trace_parent),
-        plan_cache_(plan_cache) {}
+                  IdentifyParams params = {}, PlanCache* plan_cache = nullptr)
+      : engine_(engine), acg_(acg), params_(params), plan_cache_(plan_cache) {}
 
   /// Runs the algorithm. `focal` is Foc(a); `mini_db`, when given,
   /// restricts the search (focal-spreading mode). Candidates are returned
@@ -145,9 +128,6 @@ class TupleIdentifier {
   KeywordSearchEngine* engine_;
   const Acg* acg_;
   IdentifyParams params_;
-  ThreadPool* pool_;
-  obs::TraceBuilder* tracer_;
-  uint32_t trace_parent_;
   PlanCache* plan_cache_;
 };
 

@@ -4,11 +4,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
-#include "obs/trace.h"
 #include "storage/query.h"
 
 namespace nebula {
@@ -45,26 +43,16 @@ struct SharedExecutionStats {
 /// distinct statement exactly once, and distributes the cached result to
 /// every (query, statement) pair.
 ///
-/// When constructed with a ThreadPool, the distinct statements — which are
-/// independent after compilation — execute concurrently on the pool.
-/// Results, per-query hit order, and all statistics are identical to the
-/// sequential path: hits are distributed and counters folded in plan
-/// order after the join (see DESIGN.md "Concurrency model").
+/// The distinct statements run one after another on the caller's thread,
+/// in plan order (first appearance across the group).
 ///
 /// Observability: every group feeds the nebula_shared_exec_* counters and
-/// the nebula_sql_duration_us histogram; with a TraceBuilder attached,
-/// each distinct statement's execution becomes a "sql" span (child of
-/// `trace_parent`) carrying the canonical statement and worker thread id.
+/// the nebula_sql_duration_us histogram, and records one "shared_exec"
+/// wide event under the enclosing operation.
 class SharedKeywordExecutor {
  public:
-  explicit SharedKeywordExecutor(KeywordSearchEngine* engine,
-                                 ThreadPool* pool = nullptr,
-                                 obs::TraceBuilder* tracer = nullptr,
-                                 uint32_t trace_parent = 0)
-      : engine_(engine),
-        pool_(pool),
-        tracer_(tracer),
-        trace_parent_(trace_parent) {}
+  explicit SharedKeywordExecutor(KeywordSearchEngine* engine)
+      : engine_(engine) {}
 
   /// Executes all queries; `results[i]` are the merged hits of queries[i]
   /// (identical to what engine->Search(queries[i]) would return).
@@ -84,9 +72,6 @@ class SharedKeywordExecutor {
 
  private:
   KeywordSearchEngine* engine_;
-  ThreadPool* pool_;
-  obs::TraceBuilder* tracer_;
-  uint32_t trace_parent_;
   SharedExecutionStats stats_;
 };
 

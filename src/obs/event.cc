@@ -6,7 +6,6 @@
 
 #include "common/fault.h"
 #include "common/fault_points.h"
-#include "common/obs_hooks.h"
 #include "obs/export.h"
 
 namespace nebula {
@@ -46,33 +45,8 @@ void AppendField(std::string* out, const char* key, bool value, bool* first) {
   *out += value ? "true" : "false";
 }
 
-/// The calling thread's installed context. Pooled workers inherit the
-/// submitter's pointer through the common-layer task-context hooks
-/// below, so one EventContext may be shared by several threads at once —
-/// which is why its counters are atomics.
+/// The calling thread's installed context.
 thread_local EventContext* t_current_context = nullptr;
-
-uintptr_t CaptureContext() {
-  return reinterpret_cast<uintptr_t>(t_current_context);
-}
-
-uintptr_t SwapContext(uintptr_t context) {
-  EventContext* previous = t_current_context;
-  t_current_context = reinterpret_cast<EventContext*>(context);
-  return reinterpret_cast<uintptr_t>(previous);
-}
-
-/// Binds the ThreadPool's task-context propagation to the thread-local
-/// above. Linking obs pulls this translation unit in (the engine
-/// references EventLog), so registration happens before main().
-struct EventHookRegistrar {
-  EventHookRegistrar() {
-    if constexpr (kEnabled) {
-      hooks::SetTaskContextHooks(&CaptureContext, &SwapContext);
-    }
-  }
-};
-const EventHookRegistrar g_event_hook_registrar;
 
 }  // namespace
 
@@ -93,6 +67,10 @@ std::string WideEventToJson(const WideEvent& event) {
   AppendField(&out, "generation_us", event.generation_us, &first);
   AppendField(&out, "search_us", event.search_us, &first);
   AppendField(&out, "verification_us", event.verification_us, &first);
+  AppendField(&out, "map_generation_us", event.map_generation_us, &first);
+  AppendField(&out, "context_adjust_us", event.context_adjust_us, &first);
+  AppendField(&out, "query_formation_us", event.query_formation_us, &first);
+  if (!event.mode.empty()) AppendField(&out, "mode", event.mode, &first);
   AppendField(&out, "plan_cache_hits", event.plan_cache_hits, &first);
   AppendField(&out, "plan_cache_misses", event.plan_cache_misses, &first);
   AppendField(&out, "result_cache_hits", event.result_cache_hits, &first);

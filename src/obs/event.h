@@ -19,18 +19,16 @@ namespace obs {
 /// Wide events: one structured record per engine operation.
 ///
 /// Where the metrics layer answers "how is the system doing in
-/// aggregate" and the trace ring answers "what did this one insert do
-/// internally", the wide-event log ties a *single* operation — an
+/// aggregate", the wide-event log ties a *single* operation — an
 /// annotation insert, a search, or one shared-group execution — to
-/// everything that happened on its behalf: stage durations, the
-/// plan-cache / result-cache / value-index path it took, rows examined,
-/// the verification outcome, and the thread that ran it. Records are
-/// JSON lines, so the log can be shipped, grepped, and mined later to
-/// re-weight configurations (see DESIGN.md §7).
+/// everything that happened on its behalf: stage and Stage-1 phase
+/// durations, the search mode, the plan-cache / result-cache /
+/// value-index path it took, rows examined, the verification outcome,
+/// and the thread that ran it. It is the one per-operation record.
+/// Records are JSON lines, so the log can be shipped, grepped, and mined
+/// later to re-weight configurations (see DESIGN.md §7).
 
-/// One record. Counter fields are totals attributed to the operation,
-/// including work done by pooled subtasks (the ThreadPool propagates the
-/// submitting operation's EventContext to its workers).
+/// One record. Counter fields are totals attributed to the operation.
 struct WideEvent {
   std::string op;          ///< "insert" | "search" | "shared_exec"
   uint64_t op_id = 0;      ///< unique within one EventLog, 1-based
@@ -44,6 +42,12 @@ struct WideEvent {
   uint64_t generation_us = 0;
   uint64_t search_us = 0;
   uint64_t verification_us = 0;
+
+  // Stage-1 phases and the Stage-2 search mode (inserts and searches).
+  uint64_t map_generation_us = 0;
+  uint64_t context_adjust_us = 0;
+  uint64_t query_formation_us = 0;
+  std::string mode;  ///< "full_database" | "focal_spreading" | ""
 
   // Cache / index path.
   uint64_t plan_cache_hits = 0;
@@ -69,8 +73,9 @@ std::string WideEventToJson(const WideEvent& event);
 /// calling thread's current context for the duration of an operation
 /// (ScopedEventContext); instrumentation sites deep in the stack — the
 /// plan cache, the SQL result cache, the shared executor — bump its
-/// counters via CurrentEventContext(). Counters are relaxed atomics
-/// because pooled subtasks share the parent's context concurrently.
+/// counters via CurrentEventContext(). Every bump comes from the thread
+/// that installed the context; the counters are relaxed atomics, which
+/// cost no more than plain increments there.
 struct EventContext {
   uint64_t op_id = 0;
   class EventLog* log = nullptr;  ///< for child events (shared_exec)
@@ -85,8 +90,7 @@ struct EventContext {
 };
 
 /// The calling thread's current context, or nullptr when no operation is
-/// in flight (instrumentation sites must null-check). Pooled workers see
-/// the submitting operation's context while running its task.
+/// in flight (instrumentation sites must null-check).
 EventContext* CurrentEventContext();
 
 /// Copies the context's counters into the matching event fields.

@@ -222,7 +222,6 @@ NebulaConfig DifferentialRunner::BaseConfig(uint64_t seed) const {
   config.identify.shared_execution = ((seed >> 2) & 1) != 0;
   config.spreading.fixed_k = 1 + static_cast<size_t>(seed % 3);
   // Quiet by default; the kObs pair turns the runtime surface on.
-  config.trace_capacity = 0;
   config.event_capacity = 0;
   return config;
 }
@@ -258,7 +257,6 @@ Result<RunOutcome> DifferentialRunner::Run(const CheckWorkload& workload,
     NEBULA_ASSIGN_OR_RETURN(reports, engine.InsertAnnotations(requests));
     if (exercise_obs) {
       (void)NebulaEngine::DumpMetrics();
-      (void)engine.DumpTraces();
       (void)engine.DumpEvents();
     }
   } else {
@@ -272,8 +270,7 @@ Result<RunOutcome> DifferentialRunner::Run(const CheckWorkload& workload,
       // rest of it.
       if (exercise_obs && (i & 1) != 0) {
         (void)NebulaEngine::DumpMetrics();
-        (void)engine.DumpTraces();
-        (void)engine.DumpEvents();
+          (void)engine.DumpEvents();
       }
     }
   }
@@ -310,7 +307,6 @@ Result<Divergence> DifferentialRunner::RunPair(
       batch_b = true;
       break;
     case ConfigPair::kObs:
-      config_b.trace_capacity = 64;
       // Wide-event logging with sampling and the slow-query override both
       // in play: the sampling draw, the JSON rendering, and the counting
       // sink must all be invisible to engine results.
@@ -347,7 +343,8 @@ Result<Divergence> DifferentialRunner::RunPair(
     case ConfigPair::kLockdep:
       // Identical configs; the two sides differ only in whether the
       // process-global lockdep witness observes the run (armed around
-      // the B side below). Pool workers exercise the deep lock chains.
+      // the B side below). Pool workers run Stage 1 beside the caller's
+      // deep lock chains.
       batch_a = batch_b = true;
       config_a.num_threads = options_.num_threads;
       config_b.num_threads = options_.num_threads;

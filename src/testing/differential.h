@@ -25,12 +25,12 @@ enum class ConfigPair {
   /// One InsertAnnotation call per annotation vs a single
   /// InsertAnnotations batch, both pooled. Exact equivalence.
   kBatch,
-  /// Observability quiet (trace_capacity=0, no dumps) vs exercised
-  /// (tracing on, DumpMetrics/DumpTraces called mid-run). Observation
-  /// must never perturb results: exact equivalence. NEBULA_OBS is a
-  /// compile-time switch, so a single binary can only vary the runtime
-  /// surface; CI completes the argument by comparing canonical digests
-  /// across an OBS=ON and an OBS=OFF binary (see --digest).
+  /// Observability quiet (event_capacity=0, no dumps) vs exercised
+  /// (sampled wide events, DumpMetrics/DumpEvents called mid-run).
+  /// Observation must never perturb results: exact equivalence.
+  /// NEBULA_OBS is a compile-time switch, so a single binary can only vary
+  /// the runtime surface; CI completes the argument by comparing canonical
+  /// digests across an OBS=ON and an OBS=OFF binary (see --digest).
   kObs,
   /// Full-database search vs focal spreading. Spreading is an
   /// approximation, so exact equality is the wrong spec: the check is

@@ -1,19 +1,16 @@
 /// Wide-event layer tests: the JSON record shape, the EventLog's
-/// sampling / slow-query / ring / sink semantics, context install and
-/// pool propagation, and the engine-level integration (an insert emits
-/// one wide event carrying its cache path and verification outcome, a
-/// shared-group execution emits a child event linked via parent_op).
+/// sampling / slow-query / ring / sink semantics, context install, and
+/// the engine-level integration (an insert emits one wide event carrying
+/// its cache path and verification outcome, a shared-group execution
+/// emits a child event linked via parent_op).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
@@ -38,6 +35,10 @@ TEST(WideEventJsonTest, FixedFieldOrderAndOptionalFields) {
   event.generation_us = 30;
   event.search_us = 70;
   event.verification_us = 10;
+  event.map_generation_us = 21;
+  event.context_adjust_us = 4;
+  event.query_formation_us = 5;
+  event.mode = "focal_spreading";
   event.plan_cache_hits = 2;
   event.rows_examined = 55;
   event.verification = "accepted=1,rejected=0,pending=2";
@@ -47,6 +48,12 @@ TEST(WideEventJsonTest, FixedFieldOrderAndOptionalFields) {
   EXPECT_EQ(json.find("{\"op\":\"insert\",\"op_id\":7,\"annotation\":42,"
                       "\"thread\":3,\"duration_us\":120"),
             0u)
+      << json;
+  // Stage-1 phases and the search mode follow the stage split.
+  EXPECT_NE(json.find("\"verification_us\":10,\"map_generation_us\":21,"
+                      "\"context_adjust_us\":4,\"query_formation_us\":5,"
+                      "\"mode\":\"focal_spreading\","),
+            std::string::npos)
       << json;
   EXPECT_NE(json.find("\"plan_cache_hits\":2"), std::string::npos);
   EXPECT_NE(json.find("\"rows_examined\":55"), std::string::npos);
@@ -64,8 +71,9 @@ TEST(WideEventJsonTest, ChildEventCarriesParentOp) {
   event.parent_op = 7;
   const std::string json = WideEventToJson(event);
   EXPECT_NE(json.find("\"parent_op\":7"), std::string::npos);
-  // No annotation and no verification outcome on a child event.
+  // No annotation, search mode, or verification outcome on a child event.
   EXPECT_EQ(json.find("annotation"), std::string::npos);
+  EXPECT_EQ(json.find("\"mode\":"), std::string::npos);
   EXPECT_EQ(json.find("\"verification\":"), std::string::npos);
 }
 
@@ -189,29 +197,6 @@ TEST(EventContextTest, FillEventCopiesCounters) {
   EXPECT_EQ(event.sql_shared, 5u);
 }
 
-TEST(EventContextTest, PooledTasksAttributeToSubmitterContext) {
-  if (!kEnabled) GTEST_SKIP() << "hooks compiled out under NEBULA_OBS=OFF";
-  EventLog log({/*capacity=*/4, 1.0, 0, 0});
-  ThreadPool pool(4);
-  {
-    ScopedEventContext scope(&log);
-    std::vector<std::future<void>> done;
-    for (int t = 0; t < 32; ++t) {
-      done.push_back(pool.Submit([] {
-        // Worker threads must see the submitting operation's context.
-        EventContext* context = CurrentEventContext();
-        ASSERT_NE(context, nullptr);
-        context->rows_examined.fetch_add(1, std::memory_order_relaxed);
-      }));
-    }
-    for (auto& f : done) f.get();
-    EXPECT_EQ(scope.context()->rows_examined.load(), 32u);
-  }
-  // A task submitted outside any scope carries no context — a worker's
-  // previously swapped-in pointer must not leak into later tasks.
-  pool.Submit([] { EXPECT_EQ(CurrentEventContext(), nullptr); }).get();
-}
-
 // ---------------------------------------------------------------------
 // Engine integration
 // ---------------------------------------------------------------------
@@ -225,7 +210,6 @@ TEST(EngineEventTest, InsertEmitsWideEventWithAttribution) {
   ASSERT_FALSE(workload.annotations.empty());
 
   NebulaConfig config;
-  config.num_threads = 2;
   config.identify.shared_execution = true;
   NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
                       &(*universe)->meta, config);

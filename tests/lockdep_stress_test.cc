@@ -1,10 +1,10 @@
 // Concurrency stress over the ranked-lock chains the lockdep witness
 // guards: table lookups racing the lazy hash/value index builds
-// (storage.index_build), shared keyword execution fanning out on the
-// pool (common.pool -> keyword.resultcache -> obs.*), and an exclusive
-// writer hammering Insert's incremental index maintenance on its own
-// table — Table's documented single-writer contract is honored by
-// giving the writer a private table no reader ever touches.
+// (storage.index_build), shared keyword execution on the main thread
+// (keyword.resultcache -> obs.*) racing concurrent searches, and an
+// exclusive writer hammering Insert's incremental index maintenance on
+// its own table — Table's documented single-writer contract is honored
+// by giving the writer a private table no reader ever touches.
 //
 // Runs under two labels:
 //   tsan     — a -DNEBULA_SANITIZE=thread build race-checks the paths;
@@ -25,7 +25,6 @@
 #include "common/lock_rank.h"
 #include "common/string_util.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "keyword/engine.h"
 #include "keyword/query_types.h"
 #include "keyword/shared_executor.h"
@@ -206,15 +205,12 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
     }
   });
 
-  // Main thread: shared group execution fanning out on the pool. The
-  // pool is reserved for ExecuteGroup's distinct statements — the
-  // long-running reader loops live on raw threads so they can never
-  // starve the futures ExecuteGroup joins on.
-  ThreadPool pool(4);
+  // Main thread: sequential shared group execution while the readers and
+  // searchers race it.
   for (int round = 0; round < kGroupRounds; ++round) {
     const auto queries = StressGroup(round);
     std::vector<std::vector<SearchHit>> results;
-    SharedKeywordExecutor shared(engine_.get(), &pool);
+    SharedKeywordExecutor shared(engine_.get());
     ASSERT_TRUE(shared.ExecuteGroup(queries, &results).ok());
     ASSERT_EQ(results.size(), queries.size());
     EXPECT_FALSE(results[0].empty()) << "round " << round;

@@ -50,7 +50,6 @@ class RecoveryFaultTest : public ::testing::Test {
 
   NebulaConfig DurableConfig(size_t snapshot_every = 2) const {
     NebulaConfig config;
-    config.trace_capacity = 0;
     config.event_capacity = 0;
     config.durability_dir = dir_;
     config.snapshot_every_n = snapshot_every;
@@ -193,8 +192,8 @@ TEST_F(RecoveryFaultTest, SnapshotFaultDegradesWalStaysAuthoritative) {
 }
 
 TEST_F(RecoveryFaultTest, PooledDurableBatchIngestRecoversExactly) {
-  // Pool workers drive Stage 1/2 while the journaling chokepoint runs
-  // stages 0/3 on the caller's thread — the interleaving a sanitizer
+  // Pool workers drive Stage 1 while the journaling chokepoint runs
+  // stages 0/2/3 on the caller's thread — the interleaving a sanitizer
   // build race-checks. Results and recovery must match the sequential
   // contract exactly.
   NebulaConfig config = DurableConfig();

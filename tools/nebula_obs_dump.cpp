@@ -1,18 +1,18 @@
 /// Runs the paper's Figure-1 scenario through an instrumented engine and
 /// dumps the observability surface: the process-global metrics registry
 /// (Prometheus text by default, JSON with --metrics=json) followed by the
-/// engine's per-annotation trace trees as JSON.
+/// engine's wide-event log as JSON lines.
 ///
 ///   nebula_obs_dump [--metrics=prometheus|json] [--metrics-only]
-///                   [--traces-only] [--threads=N] [--check]
+///                   [--threads=N] [--check]
 ///
-/// The batch insert runs on a worker pool (default 2 threads) so the
-/// thread-pool and shared-executor instruments light up too. Sections are
-/// delimited by "# ---- metrics ----" / "# ---- percentiles ----" /
-/// "# ---- traces ----" / "# ---- events ----" lines so the output is
-/// easy to split in scripts. The percentile section prints the
-/// p50..p999 ladder of every histogram family that saw observations;
-/// the events section is the engine's wide-event log as JSON lines.
+/// The batch insert pipelines Stage 1 on a worker pool (default 2
+/// threads) so the thread-pool instruments light up too, and runs Stage 2
+/// through the shared executor. Sections are delimited by
+/// "# ---- metrics ----" / "# ---- percentiles ----" / "# ---- events ----"
+/// lines so the output is easy to split in scripts. The percentile
+/// section prints the p50..p999 ladder of every histogram family that saw
+/// observations; the events section is one JSON line per operation.
 /// --check additionally self-asserts the dump (nonempty percentile
 /// section with monotone ladders, an "insert" wide event present) and is
 /// what the ctest smoke runs.
@@ -79,8 +79,7 @@ size_t PrintPercentiles(bool* monotonic) {
 
 int main(int argc, char** argv) {
   obs::ExportFormat metrics_format = obs::ExportFormat::kPrometheus;
-  bool dump_metrics = true;
-  bool dump_traces = true;
+  bool dump_events = true;
   bool check = false;
   size_t threads = 2;
   for (int i = 1; i < argc; ++i) {
@@ -90,9 +89,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics=json") {
       metrics_format = obs::ExportFormat::kJson;
     } else if (arg == "--metrics-only") {
-      dump_traces = false;
-    } else if (arg == "--traces-only") {
-      dump_metrics = false;
+      dump_events = false;
     } else if (arg == "--check") {
       check = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -101,7 +98,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--metrics=prometheus|json] [--metrics-only] "
-                   "[--traces-only] [--threads=N] [--check]\n",
+                   "[--threads=N] [--check]\n",
                    argv[0]);
       return 2;
     }
@@ -187,26 +184,20 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[obs_dump] inserted %zu annotations (%zu threads)\n",
                reports->size(), threads);
 
-  size_t percentile_lines = 0;
   bool monotonic = true;
-  if (dump_metrics) {
-    std::printf("# ---- metrics ----\n%s",
-                NebulaEngine::DumpMetrics(metrics_format).c_str());
-    std::printf("# ---- percentiles ----\n");
-    percentile_lines = PrintPercentiles(&monotonic);
-  }
+  std::printf("# ---- metrics ----\n%s",
+              NebulaEngine::DumpMetrics(metrics_format).c_str());
+  std::printf("# ---- percentiles ----\n");
+  const size_t percentile_lines = PrintPercentiles(&monotonic);
   const std::string events = engine.DumpEvents();
-  if (dump_traces) {
-    std::printf("# ---- traces ----\n%s\n", engine.DumpTraces().c_str());
-    std::printf("# ---- events ----\n%s", events.c_str());
-  }
+  if (dump_events) std::printf("# ---- events ----\n%s", events.c_str());
 
   if (check) {
     // Self-assertions for the ctest smoke: the percentile pipeline must
     // produce data and the wide-event log must have seen the batch —
     // when the engine was built instrumented. Under NEBULA_OBS=OFF the
     // sections are legitimately empty and only well-formedness holds.
-    if (obs::kEnabled && dump_metrics && percentile_lines == 0) {
+    if (obs::kEnabled && percentile_lines == 0) {
       std::fprintf(stderr, "CHECK FAILED: no histogram percentiles\n");
       return 1;
     }

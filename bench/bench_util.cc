@@ -93,11 +93,10 @@ std::string EmitBenchJson(const std::string& bench,
   std::string out = "{\n  \"bench\": \"" + obs::JsonEscape(bench) + "\",\n";
   out += std::string("  \"quick_mode\": ") +
          (QuickMode() ? "true" : "false") + ",\n";
-  // Build provenance: numbers measured under the lockdep witness or a
-  // sanitizer are not comparable to release numbers, and the schema
-  // checker refuses to let such a sidecar be committed.
-  out += std::string("  \"build\": {\"lockdep\": ") +
-         (NEBULA_LOCKDEP_ENABLED ? "true" : "false") + ", \"sanitizer\": \"" +
+  // Build provenance: numbers measured under a sanitizer are not
+  // comparable to release numbers, and the schema checker refuses to let
+  // such a sidecar be committed.
+  out += std::string("  \"build\": {\"sanitizer\": \"") +
          obs::JsonEscape(NEBULA_SANITIZE_NAME) + "\"},\n";
   out += "  \"records\": [";
   for (size_t i = 0; i < records.size(); ++i) {

@@ -15,13 +15,6 @@
 
 namespace nebula {
 
-/// Lockdep acquire check (src/common/lockdep.cc, -DNEBULA_LOCKDEP=ON
-/// only); a fired fault plants a synthetic lock-order inversion so
-/// NebulaCheck's `lockdep` pair can prove a violation is caught,
-/// shrunk, and replayed end to end. Never fires in production builds —
-/// the probe is compiled out with the witness.
-inline constexpr char kFaultCommonLockdepCheck[] = "common.lockdep.check";
-
 /// Plan-cache fill in TupleIdentifier's keyword->configuration cache; a
 /// fired fault skips caching the freshly compiled plans (the group still
 /// executes on the cold path).

@@ -1,46 +1,38 @@
 #ifndef NEBULA_COMMON_LOCK_RANK_H_
 #define NEBULA_COMMON_LOCK_RANK_H_
 
-/// The global mutex acquisition-order DAG, declared as data.
+/// The global mutex acquisition order, declared as data — the only
+/// registry of lock ranks in the tree.
 ///
-/// Every nebula::Mutex / nebula::SharedMutex in the tree is constructed
-/// with one of the ranks below (tools/nebula_lint's [lock-rank-missing]
-/// rule enforces this). A thread may only acquire a mutex whose tier is
-/// STRICTLY GREATER than the tier of every mutex it already holds — the
-/// total order the tiers induce is a conservative embedding of the
-/// acquisition DAG in tools/lock_ranks.txt, which is the human-readable
-/// source of truth (the lint pass cross-checks the two).
+/// Every nebula::Mutex / nebula::SharedMutex in src/ is constructed with
+/// one of the ranks below (tools/nebula_lint's [lock-rank-missing] rule
+/// enforces this). A thread may only block on a mutex whose tier is
+/// STRICTLY GREATER than the tier of the innermost ranked mutex it
+/// already holds. The tiers form a total order, so any ABBA inversion
+/// breaks the rule on its first wrong-order acquire.
 ///
-/// Three enforcement layers consume these ranks:
+/// Two checks read these constants:
 ///   - tools/nebula_lint pass_concurrency: [lock-order] statically flags
-///     a lock-scope nesting or ACQUIRED_AFTER edge that contradicts the
-///     DAG, with the full declared chain in the report;
-///   - src/common/lockdep.{h,cc} (-DNEBULA_LOCKDEP=ON): validates every
-///     acquire at runtime against the held-lock stack and fails fast with
-///     both rank chains on inversion or self-deadlock;
-///   - Clang ACQUIRED_BEFORE/ACQUIRED_AFTER attributes where the two
-///     mutexes are visible to one another (same class), compiled out on
-///     GCC and in builds without -DNEBULA_ANALYZE=ON.
+///     a lexically nested lock scope that contradicts the order, reading
+///     the tiers from the `inline constexpr LockRank` lines of this file;
+///   - lock_rank_check in common/sync.{h,cc}, compiled into every build:
+///     validates each blocking acquire at runtime and aborts with the
+///     held chain on a violation.
 ///
 /// Adding a mutex: see DESIGN.md §9 "How to add a mutex". In short: pick
-/// (or insert) a rank here AND in tools/lock_ranks.txt, construct the
-/// mutex with it, and keep tiers strictly ordered along every real
-/// acquisition chain. Tiers are spaced by 10 so a new rank can slot
-/// between two existing ones without renumbering.
+/// (or insert) a rank here, construct the mutex with it, and keep tiers
+/// strictly increasing along every real acquisition chain. Tiers are
+/// spaced by 10 so a new rank can slot between two existing ones without
+/// renumbering.
 namespace nebula {
 
-/// One node of the acquisition-order DAG. `name` matches the entry in
-/// tools/lock_ranks.txt; `tier` orders acquisition (lower = acquired
-/// first / outermost). Constants, not an enum: lockdep reports print the
-/// name, and the spacing convention keeps insertion cheap.
+/// One rank of the acquisition order. `tier` orders acquisition (lower =
+/// acquired first / outermost); `name` is what violation reports print.
+/// Constants, not an enum: the spacing convention keeps insertion cheap.
 struct LockRank {
   const char* name;
   int tier;
 };
-
-/// Reserved for the upcoming server/engine-wide mutex (ROADMAP item 1);
-/// outermost by construction — engine-level locks are taken first.
-inline constexpr LockRank kLockRankEngine = {"engine", 10};
 
 /// PlanCache's keyword->configuration cache (core/identify.h). Held
 /// across plan compilation, which probes fault points and bumps metrics.
@@ -50,13 +42,8 @@ inline constexpr LockRank kLockRankCorePlanCache = {"core.plancache", 20};
 inline constexpr LockRank kLockRankKeywordResultCache =
     {"keyword.resultcache", 30};
 
-/// Reserved for per-table/shard row locks (ROADMAP item 2): sharded
-/// storage acquires the table before its index structures.
-inline constexpr LockRank kLockRankStorageTable = {"storage.table", 40};
-
 /// Table's lazy value-index publication lock (storage/table.h). Held
-/// across the index build, which probes fault points and may submit to
-/// the pool.
+/// across the index build, which probes a fault point.
 inline constexpr LockRank kLockRankStorageIndexBuild =
     {"storage.index_build", 50};
 

@@ -8,7 +8,6 @@ namespace hooks {
 namespace {
 
 std::atomic<const PoolEventSink*> g_pool_sink{nullptr};
-std::atomic<const LockdepEventSink*> g_lockdep_sink{nullptr};
 std::atomic<ThreadOrdinalFn> g_thread_ordinal{nullptr};
 
 }  // namespace
@@ -19,14 +18,6 @@ void SetPoolEventSink(const PoolEventSink* sink) {
 
 const PoolEventSink* GetPoolEventSink() {
   return g_pool_sink.load(std::memory_order_acquire);
-}
-
-void SetLockdepEventSink(const LockdepEventSink* sink) {
-  g_lockdep_sink.store(sink, std::memory_order_release);
-}
-
-const LockdepEventSink* GetLockdepEventSink() {
-  return g_lockdep_sink.load(std::memory_order_acquire);
 }
 
 void SetThreadOrdinalProvider(ThreadOrdinalFn fn) {

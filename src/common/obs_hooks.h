@@ -45,23 +45,6 @@ void SetPoolEventSink(const PoolEventSink* sink);
 /// pointer never changes after startup in production binaries.
 const PoolEventSink* GetPoolEventSink();
 
-/// Events emitted by the lockdep witness (common/lockdep.cc,
-/// -DNEBULA_LOCKDEP=ON). Callbacks must be cheap, non-blocking, and must
-/// not acquire any nebula::Mutex: they run inside the witness itself.
-struct LockdepEventSink {
-  /// A previously unseen acquisition edge joined the observed graph.
-  void (*edge_observed)();
-  /// A violation (self-deadlock / order inversion / planted) fired.
-  void (*violation)();
-};
-
-/// Registers the process-wide lockdep sink. `sink` must outlive the
-/// process (the registrar passes a static). Passing nullptr unregisters.
-void SetLockdepEventSink(const LockdepEventSink* sink);
-
-/// Currently registered lockdep sink, or nullptr.
-const LockdepEventSink* GetLockdepEventSink();
-
 /// Provider for the small dense per-process thread ordinal printed in
 /// log-record headers (obs::CurrentThreadId when obs is linked).
 using ThreadOrdinalFn = uint32_t (*)();

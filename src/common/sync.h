@@ -6,7 +6,6 @@
 #include <shared_mutex>
 
 #include "common/lock_rank.h"
-#include "common/lockdep.h"
 
 /// Annotated synchronization primitives — the only place in Nebula that
 /// may name a std:: mutex type (tools/nebula_lint enforces this).
@@ -46,10 +45,6 @@
 #define SCOPED_CAPABILITY NEBULA_THREAD_ANNOTATION_(scoped_lockable)
 #define GUARDED_BY(x) NEBULA_THREAD_ANNOTATION_(guarded_by(x))
 #define PT_GUARDED_BY(x) NEBULA_THREAD_ANNOTATION_(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) \
-  NEBULA_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) \
-  NEBULA_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   NEBULA_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 #define REQUIRES_SHARED(...) \
@@ -79,6 +74,35 @@
 namespace nebula {
 
 // ---------------------------------------------------------------------------
+// Lock-rank check (DESIGN.md §9), compiled into every build.
+// ---------------------------------------------------------------------------
+
+/// Each thread keeps a fixed array of the ranks it holds. A blocking
+/// acquire of a ranked mutex must carry a tier STRICTLY greater than the
+/// innermost held rank; otherwise the check prints the held chain and the
+/// rank being acquired to stderr and aborts — before blocking, so a
+/// would-be ABBA deadlock or a re-lock of the same mutex fails on the
+/// first wrong-order acquire instead of hanging when the interleaving
+/// finally fires. Unranked mutexes never reach these functions.
+namespace lock_rank_check {
+
+/// Blocking acquire: checks `rank` against the innermost held rank, then
+/// pushes it.
+void OnAcquire(const LockRank& rank);
+
+/// Successful try-acquire: pushes `rank` unchecked. A non-blocking
+/// acquire cannot close a deadlock cycle, so try-lock is the sanctioned
+/// out-of-order escape hatch; later blocking acquires are checked
+/// against it.
+void OnTryAcquired(const LockRank& rank);
+
+/// Release: removes the innermost entry of `rank` (releases need not be
+/// LIFO).
+void OnRelease(const LockRank& rank);
+
+}  // namespace lock_rank_check
+
+// ---------------------------------------------------------------------------
 // Exclusive mutex.
 // ---------------------------------------------------------------------------
 
@@ -87,9 +111,9 @@ namespace nebula {
 ///
 /// Construct every member/global mutex with its rank from
 /// common/lock_rank.h (enforced by nebula_lint's [lock-rank-missing]):
-/// the rank places the mutex in the global acquisition-order DAG, which
-/// the -DNEBULA_LOCKDEP=ON witness validates on every acquire. The
-/// default constructor exists for rank-exempt locals and tests.
+/// the rank places the mutex in the global acquisition order, which
+/// lock_rank_check validates on every acquire. The default constructor
+/// exists for rank-exempt locals and tests.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -98,16 +122,16 @@ class CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() ACQUIRE() {
-    NEBULA_LOCKDEP_ACQUIRE(this, rank_);
+    if (rank_ != nullptr) lock_rank_check::OnAcquire(*rank_);
     mu_.lock();
   }
   void Unlock() RELEASE() {
-    NEBULA_LOCKDEP_RELEASE(this);
+    if (rank_ != nullptr) lock_rank_check::OnRelease(*rank_);
     mu_.unlock();
   }
   bool TryLock() TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    NEBULA_LOCKDEP_TRY_ACQUIRED(this, rank_);
+    if (rank_ != nullptr) lock_rank_check::OnTryAcquired(*rank_);
     return true;
   }
 
@@ -115,7 +139,7 @@ class CAPABILITY("mutex") Mutex {
   /// holds this mutex even though the acquisition is not visible locally.
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
-  /// This mutex's rank in the acquisition DAG; nullptr when unranked.
+  /// This mutex's rank in the acquisition order; nullptr when unranked.
   const LockRank* rank() const { return rank_; }
 
  private:
@@ -142,9 +166,10 @@ class SCOPED_CAPABILITY MutexLock {
 // ---------------------------------------------------------------------------
 
 /// Annotated shared (reader/writer) mutex over std::shared_mutex.
-/// Ranked exactly like `Mutex`; shared and exclusive acquisition order
-/// identically in the lockdep witness (a reader can deadlock a writer
-/// just as well as another writer).
+/// Ranked exactly like `Mutex`; shared and exclusive acquisition are
+/// checked identically (a reader can deadlock a writer just as well as
+/// another writer, and a recursive read lock can deadlock behind a
+/// queued writer).
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
@@ -153,37 +178,37 @@ class CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void Lock() ACQUIRE() {
-    NEBULA_LOCKDEP_ACQUIRE(this, rank_);
+    if (rank_ != nullptr) lock_rank_check::OnAcquire(*rank_);
     mu_.lock();
   }
   void Unlock() RELEASE() {
-    NEBULA_LOCKDEP_RELEASE(this);
+    if (rank_ != nullptr) lock_rank_check::OnRelease(*rank_);
     mu_.unlock();
   }
   bool TryLock() TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    NEBULA_LOCKDEP_TRY_ACQUIRED(this, rank_);
+    if (rank_ != nullptr) lock_rank_check::OnTryAcquired(*rank_);
     return true;
   }
 
   void LockShared() ACQUIRE_SHARED() {
-    NEBULA_LOCKDEP_ACQUIRE(this, rank_);
+    if (rank_ != nullptr) lock_rank_check::OnAcquire(*rank_);
     mu_.lock_shared();
   }
   void UnlockShared() RELEASE_SHARED() {
-    NEBULA_LOCKDEP_RELEASE(this);
+    if (rank_ != nullptr) lock_rank_check::OnRelease(*rank_);
     mu_.unlock_shared();
   }
   bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
     if (!mu_.try_lock_shared()) return false;
-    NEBULA_LOCKDEP_TRY_ACQUIRED(this, rank_);
+    if (rank_ != nullptr) lock_rank_check::OnTryAcquired(*rank_);
     return true;
   }
 
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
   void AssertReaderHeld() const ASSERT_SHARED_CAPABILITY(this) {}
 
-  /// This mutex's rank in the acquisition DAG; nullptr when unranked.
+  /// This mutex's rank in the acquisition order; nullptr when unranked.
   const LockRank* rank() const { return rank_; }
 
  private:

@@ -54,7 +54,7 @@ struct OpenHooks {
 ///
 /// Append/OnApplied/SnapshotNow and the counters are serialized by an
 /// internal mutex (rank durability.manager — above the pool and all
-/// observability, below the storage locks; tools/lock_ranks.txt). The
+/// observability, below the storage locks; common/lock_rank.h). The
 /// engine still orders mutations semantically (journal-before-apply is a
 /// protocol, not something a mutex can provide), but concurrent readers
 /// of the counters and a future async ingest queue get a consistent

@@ -63,13 +63,18 @@ std::string WideEventToJson(const WideEvent& event) {
   }
   AppendField(&out, "thread", static_cast<uint64_t>(event.thread), &first);
   AppendField(&out, "duration_us", event.duration_us, &first);
-  AppendField(&out, "store_us", event.store_us, &first);
-  AppendField(&out, "generation_us", event.generation_us, &first);
-  AppendField(&out, "search_us", event.search_us, &first);
-  AppendField(&out, "verification_us", event.verification_us, &first);
-  AppendField(&out, "map_generation_us", event.map_generation_us, &first);
-  AppendField(&out, "context_adjust_us", event.context_adjust_us, &first);
-  AppendField(&out, "query_formation_us", event.query_formation_us, &first);
+  // Stage and Stage-1 phase timings belong to top-level operations; a
+  // child (shared_exec) line would only carry zeros.
+  if (event.parent_op == 0) {
+    AppendField(&out, "store_us", event.store_us, &first);
+    AppendField(&out, "generation_us", event.generation_us, &first);
+    AppendField(&out, "search_us", event.search_us, &first);
+    AppendField(&out, "verification_us", event.verification_us, &first);
+    AppendField(&out, "map_generation_us", event.map_generation_us, &first);
+    AppendField(&out, "context_adjust_us", event.context_adjust_us, &first);
+    AppendField(&out, "query_formation_us", event.query_formation_us,
+                &first);
+  }
   if (!event.mode.empty()) AppendField(&out, "mode", event.mode, &first);
   AppendField(&out, "plan_cache_hits", event.plan_cache_hits, &first);
   AppendField(&out, "plan_cache_misses", event.plan_cache_misses, &first);

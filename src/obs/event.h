@@ -37,7 +37,8 @@ struct WideEvent {
   uint32_t thread = 0;     ///< obs::CurrentThreadId of the recording thread
   uint64_t duration_us = 0;
 
-  // Per-stage durations (inserts; zero for other ops).
+  // Per-stage durations (inserts; zero for other ops). This block and the
+  // Stage-1 phases below are serialized on top-level events only.
   uint64_t store_us = 0;
   uint64_t generation_us = 0;
   uint64_t search_us = 0;

@@ -247,16 +247,6 @@ struct PoolInstruments {
 PoolInstruments g_pool;
 hooks::PoolEventSink g_pool_sink;
 
-/// Lockdep instruments; the witness (common/lockdep.cc) emits through
-/// these from inside its own acquire path, so the callbacks touch only
-/// the pre-resolved counters and take no nebula::Mutex.
-struct LockdepInstruments {
-  Counter* edges = nullptr;
-  Counter* violations = nullptr;
-};
-LockdepInstruments g_lockdep;
-hooks::LockdepEventSink g_lockdep_sink;
-
 struct HookRegistrar {
   HookRegistrar() {
     // The thread ordinal is not gated on kEnabled: the NEBULA_OBS=OFF
@@ -288,19 +278,6 @@ struct HookRegistrar {
       };
       g_pool_sink.task_executed = [] { g_pool.executed->Increment(); };
       hooks::SetPoolEventSink(&g_pool_sink);
-      // Registered even when the witness is compiled out: the counters
-      // then simply stay at zero, and the metric surface is identical
-      // across lockdep builds.
-      g_lockdep.edges = registry.GetCounter(
-          "nebula_lockdep_edges_total", {},
-          "Distinct lock-acquisition edges the lockdep witness observed");
-      g_lockdep.violations = registry.GetCounter(
-          "nebula_lockdep_violations_total", {},
-          "Lock-order violations (self-deadlock / inversion / planted) "
-          "the lockdep witness detected");
-      g_lockdep_sink.edge_observed = [] { g_lockdep.edges->Increment(); };
-      g_lockdep_sink.violation = [] { g_lockdep.violations->Increment(); };
-      hooks::SetLockdepEventSink(&g_lockdep_sink);
     }
   }
 };

@@ -81,9 +81,9 @@ const Value& Table::GetCell(RowId row_id, size_t column) const {
 
 const Table::HashIndex& Table::GetOrBuildIndex(size_t column) const {
   assert(column < schema_.num_columns());
-  // Double-checked locking: parallel Stage-2 workers may race to trigger
-  // the same lazy build, so the build is serialized and completion is
-  // published through the acquire/release flag.
+  // Double-checked locking: concurrent readers of the const surface may
+  // race to trigger the same lazy build, so the build is serialized and
+  // completion is published through the acquire/release flag.
   if (!index_built_[column].load(std::memory_order_acquire)) {
     MutexLock lock(index_build_mutex_);
     if (!index_built_[column].load(std::memory_order_relaxed)) {
@@ -163,8 +163,8 @@ uint64_t Table::DistinctCount(size_t column) const {
 const ValueIndex* Table::TryValueIndex() const {
   int state = value_index_state_.load(std::memory_order_acquire);
   if (state == kUnbuilt) {
-    // Double-checked lazy build, exactly like GetOrBuildIndex: parallel
-    // Stage-2 workers may race to the first probe.
+    // Double-checked lazy build, exactly like GetOrBuildIndex: concurrent
+    // readers may race to the first probe.
     MutexLock lock(index_build_mutex_);
     state = value_index_state_.load(std::memory_order_relaxed);
     if (state == kUnbuilt) {

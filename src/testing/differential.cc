@@ -9,9 +9,6 @@
 #include <utility>
 
 #include "annotation/annotation_store.h"
-#include "common/fault.h"
-#include "common/fault_points.h"
-#include "common/lockdep.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "core/engine.h"
@@ -24,15 +21,6 @@
 namespace nebula::check {
 
 namespace {
-
-/// Whether the runtime lock-order witness is compiled into this binary
-/// (-DNEBULA_LOCKDEP=ON). Off: the lockdep pair still runs — both sides
-/// unwitnessed — so the pair list is build-invariant.
-#if NEBULA_LOCKDEP_ENABLED
-constexpr bool kLockdepCompiledIn = true;
-#else
-constexpr bool kLockdepCompiledIn = false;
-#endif
 
 /// FNV-1a over a byte sequence; the same digest an OBS=OFF binary
 /// computes, so CI can compare the two builds' canonical outcomes.
@@ -127,8 +115,6 @@ const char* ConfigPairName(ConfigPair pair) {
   switch (pair) {
     case ConfigPair::kThreads:
       return "threads";
-    case ConfigPair::kBatch:
-      return "batch";
     case ConfigPair::kObs:
       return "obs";
     case ConfigPair::kSpreading:
@@ -137,8 +123,6 @@ const char* ConfigPairName(ConfigPair pair) {
       return "index";
     case ConfigPair::kDurability:
       return "durability";
-    case ConfigPair::kLockdep:
-      return "lockdep";
   }
   return "?";
 }
@@ -147,8 +131,6 @@ const char* ConfigPairDescription(ConfigPair pair) {
   switch (pair) {
     case ConfigPair::kThreads:
       return "sequential vs pooled batch ingest (exact equivalence)";
-    case ConfigPair::kBatch:
-      return "per-annotation inserts vs one batch call (exact equivalence)";
     case ConfigPair::kObs:
       return "observability quiet vs exercised mid-run (exact equivalence)";
     case ConfigPair::kSpreading:
@@ -158,9 +140,6 @@ const char* ConfigPairDescription(ConfigPair pair) {
              "including ExecStats)";
     case ConfigPair::kDurability:
       return "durability off vs WAL+snapshots (exact equivalence)";
-    case ConfigPair::kLockdep:
-      return "lockdep witness off vs armed; violations diverge the "
-             "transcript (exact equivalence)";
   }
   return "?";
 }
@@ -293,18 +272,13 @@ Result<Divergence> DifferentialRunner::RunPair(
     ConfigPair pair, const CheckWorkload& workload) const {
   NebulaConfig config_a = BaseConfig(workload.seed);
   NebulaConfig config_b = config_a;
-  bool batch_a = false, batch_b = false;
+  bool batch = false;  // both sides ingest alike; only kThreads batches
   bool obs_a = false, obs_b = false;
   switch (pair) {
     case ConfigPair::kThreads:
-      batch_a = batch_b = true;
+      batch = true;
       config_a.num_threads = 0;
       config_b.num_threads = options_.num_threads;
-      break;
-    case ConfigPair::kBatch:
-      config_a.num_threads = options_.num_threads;
-      config_b.num_threads = options_.num_threads;
-      batch_b = true;
       break;
     case ConfigPair::kObs:
       // Wide-event logging with sampling and the slow-query override both
@@ -340,23 +314,8 @@ Result<Divergence> DifferentialRunner::RunPair(
       config_b.snapshot_every_n = 2;
       break;
     }
-    case ConfigPair::kLockdep:
-      // Identical configs; the two sides differ only in whether the
-      // process-global lockdep witness observes the run (armed around
-      // the B side below). Pool workers run Stage 1 beside the caller's
-      // deep lock chains.
-      batch_a = batch_b = true;
-      config_a.num_threads = options_.num_threads;
-      config_b.num_threads = options_.num_threads;
-      break;
   }
-  // The lockdep pair's planted bug is a fault-induced inversion on the B
-  // side (only meaningful with the witness compiled in); every other
-  // exact pair plants a semantic mis-configuration.
-  const bool lockdep_witnessed =
-      pair == ConfigPair::kLockdep && kLockdepCompiledIn;
-  if (options_.inject_bug && pair != ConfigPair::kSpreading &&
-      !lockdep_witnessed) {
+  if (options_.inject_bug && pair != ConfigPair::kSpreading) {
     // Deliberate semantic mis-configuration of the B side; real-world
     // equivalent of a config plumbing bug. Exists so the harness's own
     // detection -> shrink -> replay loop is testable.
@@ -364,40 +323,8 @@ Result<Divergence> DifferentialRunner::RunPair(
     config_b.identify.group_reward = false;
   }
 
-#if NEBULA_LOCKDEP_ENABLED
-  if (lockdep_witnessed) lockdep::SetEnabled(false);
-#endif
-  Result<RunOutcome> outcome_a = Run(workload, config_a, batch_a, obs_a);
-#if NEBULA_LOCKDEP_ENABLED
-  std::unique_ptr<ScopedFault> planted;
-  if (lockdep_witnessed) {
-    lockdep::ResetForTest();
-    lockdep::SetFailureMode(lockdep::FailureMode::kReport);
-    lockdep::SetEnabled(true);
-    if (options_.inject_bug) {
-      // One fired check anywhere in the B run plants a canonical
-      // violation line — a deterministic transcript divergence the
-      // sweep catches and the shrinker/replayer reproduce.
-      FaultSpec spec;
-      spec.max_fires = 1;
-      planted = std::make_unique<ScopedFault>(kFaultCommonLockdepCheck,
-                                              std::move(spec));
-    }
-  }
-#endif
-  Result<RunOutcome> outcome_b = Run(workload, config_b, batch_b, obs_b);
-#if NEBULA_LOCKDEP_ENABLED
-  if (lockdep_witnessed) {
-    planted.reset();
-    lockdep::SetEnabled(false);
-    for (const lockdep::Violation& v : lockdep::TakeViolations()) {
-      if (outcome_b.ok()) {
-        outcome_b->lines.push_back(
-            StrFormat("lockdep-violation kind=%s", v.kind.c_str()));
-      }
-    }
-  }
-#endif
+  Result<RunOutcome> outcome_a = Run(workload, config_a, batch, obs_a);
+  Result<RunOutcome> outcome_b = Run(workload, config_b, batch, obs_b);
   if (!config_b.durability_dir.empty()) {
     std::error_code ec;  // best-effort scratch cleanup, even on failure
     std::filesystem::remove_all(config_b.durability_dir, ec);

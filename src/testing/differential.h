@@ -20,11 +20,11 @@ namespace nebula::check {
 enum class ConfigPair {
   /// Sequential (num_threads=0) vs pooled (num_threads=N) batch ingest.
   /// Exact equivalence: reports, final attachments, verification tasks,
-  /// and the ACG fingerprint must match bit for bit.
+  /// and the ACG fingerprint must match bit for bit. The sequential side
+  /// is exactly one InsertAnnotation call per annotation (the pool is
+  /// the only thing InsertAnnotations adds), so this pair also proves the
+  /// batch pipeline equals one-at-a-time ingest.
   kThreads,
-  /// One InsertAnnotation call per annotation vs a single
-  /// InsertAnnotations batch, both pooled. Exact equivalence.
-  kBatch,
   /// Observability quiet (event_capacity=0, no dumps) vs exercised
   /// (sampled wide events, DumpMetrics/DumpEvents called mid-run).
   /// Observation must never perturb results: exact equivalence.
@@ -49,21 +49,11 @@ enum class ConfigPair {
   /// results: exact equivalence — the durability-off-bit-identical proof
   /// runs A with the pre-durability configuration.
   kDurability,
-  /// Lockdep witness off vs armed (report mode; src/common/lockdep.h).
-  /// Witnessing every mutex acquire must be invisible to results AND
-  /// produce zero violations on the real lock graph: exact equivalence,
-  /// with any recorded violation appended to the B transcript so an
-  /// inversion diverges the digest. In builds without
-  /// -DNEBULA_LOCKDEP=ON both sides run unwitnessed (still exact).
-  /// --inject-bug arms the common.lockdep.check fault on the B side to
-  /// plant an inversion the harness must catch, shrink, and replay.
-  kLockdep,
 };
 
 inline constexpr ConfigPair kAllConfigPairs[] = {
-    ConfigPair::kThreads, ConfigPair::kBatch, ConfigPair::kObs,
-    ConfigPair::kSpreading, ConfigPair::kValueIndex,
-    ConfigPair::kDurability, ConfigPair::kLockdep};
+    ConfigPair::kThreads, ConfigPair::kObs, ConfigPair::kSpreading,
+    ConfigPair::kValueIndex, ConfigPair::kDurability};
 
 const char* ConfigPairName(ConfigPair pair);
 /// One-line human description of what the pair varies and checks — the
@@ -80,7 +70,7 @@ void AppendStateLines(const AnnotationStore& store, NebulaEngine& engine,
                       std::vector<std::string>* lines);
 
 struct DiffOptions {
-  /// Pool size of the parallel side of kThreads / both sides of kBatch.
+  /// Pool size of the parallel side of kThreads.
   size_t num_threads = 3;
   /// Test hook: deliberately mis-configures the B side (different epsilon
   /// and grouping) so the harness's own divergence detection, shrinking,

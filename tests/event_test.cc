@@ -75,6 +75,15 @@ TEST(WideEventJsonTest, ChildEventCarriesParentOp) {
   EXPECT_EQ(json.find("annotation"), std::string::npos);
   EXPECT_EQ(json.find("\"mode\":"), std::string::npos);
   EXPECT_EQ(json.find("\"verification\":"), std::string::npos);
+  // Nor the stage and Stage-1 phase timings, which only a top-level
+  // operation measures.
+  for (const char* field :
+       {"store_us", "generation_us", "search_us", "verification_us",
+        "map_generation_us", "context_adjust_us", "query_formation_us"}) {
+    EXPECT_EQ(json.find(std::string("\"") + field + "\":"),
+              std::string::npos)
+        << field << " in " << json;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,17 +1,14 @@
-// Concurrency stress over the ranked-lock chains the lockdep witness
-// guards: table lookups racing the lazy hash/value index builds
+// Concurrency stress over the ranked-lock chains: table lookups racing the lazy hash/value index builds
 // (storage.index_build), shared keyword execution on the main thread
 // (keyword.resultcache -> obs.*) racing concurrent searches, and an
 // exclusive writer hammering Insert's incremental index maintenance on
 // its own table — Table's documented single-writer contract is honored
 // by giving the writer a private table no reader ever touches.
 //
-// Runs under two labels:
-//   tsan     — a -DNEBULA_SANITIZE=thread build race-checks the paths;
-//   lockdep  — a -DNEBULA_LOCKDEP=ON build arms the runtime witness and
-//              the test asserts zero order violations at the end.
-// In a plain build it still runs as a functional smoke (results must
-// match sequential execution), so the default suite keeps coverage.
+// Every acquire in the storm passes the always-on lock-rank check
+// (common/sync.h), which aborts the binary on an order violation. Under
+// the "tsan" label a -DNEBULA_SANITIZE=thread build also race-checks the
+// paths; in every build the results must match sequential execution.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/lock_rank.h"
 #include "common/string_util.h"
-#include "common/sync.h"
 #include "keyword/engine.h"
 #include "keyword/query_types.h"
 #include "keyword/shared_executor.h"
@@ -34,10 +29,6 @@
 #include "storage/table.h"
 #include "storage/value.h"
 #include "storage/value_index.h"
-
-#if NEBULA_LOCKDEP_ENABLED
-#include "common/lockdep.h"
-#endif
 
 namespace nebula {
 namespace {
@@ -56,11 +47,6 @@ std::string StressName(int i) {
 class LockdepStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-#if NEBULA_LOCKDEP_ENABLED
-    lockdep::ResetForTest();
-    lockdep::SetFailureMode(lockdep::FailureMode::kReport);
-    lockdep::SetEnabled(true);
-#endif
     gene_ = *catalog_.CreateTable(
         "gene", Schema({{"gid", DataType::kString, true},
                         {"name", DataType::kString, true}}));
@@ -86,18 +72,6 @@ class LockdepStressTest : public ::testing::Test {
                            {"name", DataType::kString, false}}));
   }
 
-  void TearDown() override {
-#if NEBULA_LOCKDEP_ENABLED
-    for (const auto& v : lockdep::TakeViolations()) {
-      ADD_FAILURE() << "lockdep violation (" << v.kind << "):\n" << v.detail;
-    }
-    EXPECT_EQ(lockdep::ViolationsDetected(), 0u);
-    lockdep::SetEnabled(false);
-    lockdep::SetFailureMode(lockdep::FailureMode::kAbort);
-    lockdep::ResetForTest();
-#endif
-  }
-
   Catalog catalog_;
   NebulaMeta meta_;
   Table* gene_ = nullptr;
@@ -118,18 +92,6 @@ std::vector<KeywordQuery> StressGroup(int round) {
 }
 
 TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
-#if NEBULA_LOCKDEP_ENABLED
-  // Prove the witness is actually armed before trusting its verdict: a
-  // deterministic in-order nesting must show up as an observed edge.
-  {
-    Mutex outer(kLockRankStorageIndexBuild);
-    Mutex inner(kLockRankCommonPool);
-    MutexLock a(outer);
-    MutexLock b(inner);
-  }
-  ASSERT_GE(lockdep::EdgesObserved(), 1u);
-#endif
-
   // No warm-up lookups before the storm: the lazy hash/value index
   // builds on `gene` must happen *inside* it, with multiple reader
   // threads racing to trigger them. Correctness is checked against a

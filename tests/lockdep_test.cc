@@ -1,183 +1,157 @@
-// Runtime lock-order witness (common/lockdep.h): ABBA inversions are
-// reported with BOTH rank chains, self-deadlock is caught before the
-// hang, try-lock is the sanctioned out-of-order escape hatch, and the
-// common.lockdep.check fault point plants a deterministic violation.
-//
-// In builds without -DNEBULA_LOCKDEP=ON the witness compiles out to
-// nothing; a single no-op-macro test keeps the binary meaningful there.
+// The lock-rank check inside nebula::Mutex / SharedMutex (common/sync.h):
+// a blocking acquire whose tier is not strictly above the innermost held
+// rank aborts with the held chain — inversions, equal tiers, re-locking
+// the same mutex, and reader acquires alike. Try-lock is admitted out of
+// order but still checked against; unranked mutexes are skipped; releases
+// need not be LIFO. The check is compiled into every build, so these run
+// in the default suite.
 
 #include <gtest/gtest.h>
 
 #include "common/lock_rank.h"
 #include "common/sync.h"
 
-#if NEBULA_LOCKDEP_ENABLED
-
-#include <string>
-#include <vector>
-
-#include "common/fault.h"
-#include "common/fault_points.h"
-#include "common/lockdep.h"
-
 namespace nebula {
 namespace {
 
-/// Arms the witness in report mode for the test body and disarms it on
-/// exit, so the surrounding gtest machinery never runs witnessed.
-class LockdepTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    lockdep::ResetForTest();
-    lockdep::SetFailureMode(lockdep::FailureMode::kReport);
-    lockdep::SetEnabled(true);
-  }
-  void TearDown() override {
-    lockdep::SetEnabled(false);
-    lockdep::SetFailureMode(lockdep::FailureMode::kAbort);
-    lockdep::ResetForTest();
-  }
-};
+// Every mutex below is a function-local static: TSan orders mutexes by
+// address and never forgets a stack mutex, so locals reused across tests
+// would look like one mutex taken in both orders.
 
-TEST_F(LockdepTest, GoodNestingRecordsEdgesAndNoViolations) {
-  Mutex build(kLockRankStorageIndexBuild);  // tier 50
-  Mutex pool(kLockRankCommonPool);          // tier 70
-  {
+/// A deliberate second acquire of a held mutex, which the thread-safety
+/// analysis would (rightly) reject at compile time; the test needs it to
+/// reach the runtime check.
+void LockAgain(Mutex& mu) NO_THREAD_SAFETY_ANALYSIS { mu.Lock(); }
+
+TEST(LockRankCheckTest, InOrderNestingIsAdmitted) {
+  static Mutex build(kLockRankStorageIndexBuild);   // tier 50
+  static Mutex pool(kLockRankCommonPool);           // tier 70
+  static SharedMutex metrics(kLockRankObsMetrics);  // tier 120
+  for (int round = 0; round < 2; ++round) {  // the second finds none held
     MutexLock outer(build);
-    MutexLock inner(pool);
-    const auto held = lockdep::HeldRanks();
-    ASSERT_EQ(held.size(), 2u);
-    EXPECT_STREQ(held[0]->name, "storage.index_build");
-    EXPECT_STREQ(held[1]->name, "common.pool");
+    MutexLock middle(pool);
+    ReaderMutexLock inner(metrics);
   }
-  EXPECT_EQ(lockdep::EdgesObserved(), 1u);
-  EXPECT_EQ(lockdep::ViolationsDetected(), 0u);
-  EXPECT_TRUE(lockdep::TakeViolations().empty());
 }
 
-TEST_F(LockdepTest, InversionReportsBothChains) {
-  Mutex build(kLockRankStorageIndexBuild);  // tier 50
-  Mutex pool(kLockRankCommonPool);          // tier 70
-  {
-    // First the declared order, so the witness records the edge (and the
-    // chain that observed it)...
-    MutexLock outer(build);
-    MutexLock inner(pool);
-  }
-  {
-    // ...then the inversion, on FRESH mutex instances: the witness
-    // orders by rank, so the violation still fires, while TSan (which
-    // orders by address) sees new mutexes and stays quiet — this test
-    // must pass under -DNEBULA_SANITIZE=thread too. Report mode turns
-    // the would-be abort into a recorded violation.
-    Mutex pool2(kLockRankCommonPool);
-    Mutex build2(kLockRankStorageIndexBuild);
-    MutexLock outer(pool2);
-    MutexLock inner(build2);
-  }
-  const auto violations = lockdep::TakeViolations();
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].kind, "order");
-  const std::string& detail = violations[0].detail;
-  EXPECT_NE(detail.find("storage.index_build (tier 50)"), std::string::npos)
-      << detail;
-  EXPECT_NE(detail.find("common.pool (tier 70)"), std::string::npos)
-      << detail;
-  // Both stacks of the ABBA pair: this thread's chain plus the chain
-  // that first observed the opposite edge.
-  EXPECT_NE(detail.find("this thread's chain"), std::string::npos) << detail;
-  EXPECT_NE(detail.find("first-observed opposing chain"), std::string::npos)
-      << detail;
-  EXPECT_EQ(lockdep::ViolationsDetected(), 1u);
-}
-
-TEST_F(LockdepTest, SelfDeadlockCaughtBeforeTheHang) {
-  // Through a real Mutex the second Lock() would block forever, so the
-  // unit drives the witness API directly with a dummy address.
-  int dummy = 0;
-  lockdep::OnAcquire(&dummy, &kLockRankCommonPool);
-  lockdep::OnAcquire(&dummy, &kLockRankCommonPool);
-  const auto violations = lockdep::TakeViolations();
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].kind, "self-deadlock");
-  EXPECT_NE(violations[0].detail.find("already held by this thread"),
-            std::string::npos);
-  lockdep::OnRelease(&dummy);
-  lockdep::OnRelease(&dummy);
-  EXPECT_TRUE(lockdep::HeldRanks().empty());
-}
-
-TEST_F(LockdepTest, TryLockSkipsTheOrderCheck) {
-  Mutex build(kLockRankStorageIndexBuild);  // tier 50
-  Mutex pool(kLockRankCommonPool);          // tier 70
+TEST(LockRankCheckTest, OutOfOrderTryLockIsAdmitted) {
+  static Mutex build(kLockRankStorageIndexBuild);    // tier 50
+  static Mutex manager(kLockRankDurabilityManager);  // tier 60
+  static Mutex pool(kLockRankCommonPool);            // tier 70
   MutexLock outer(pool);
-  // Out of declared order, but non-blocking: cannot close a deadlock
-  // cycle, so the witness admits it without complaint...
-  ASSERT_TRUE(build.TryLock());
-  EXPECT_EQ(lockdep::ViolationsDetected(), 0u);
-  // ...yet it joins the held stack, outermost first.
-  const auto held = lockdep::HeldRanks();
-  ASSERT_EQ(held.size(), 2u);
-  EXPECT_STREQ(held[1]->name, "storage.index_build");
+  // Non-blocking, so it cannot close a deadlock cycle: admitted below
+  // the held tier, and it becomes the innermost rank — a nested acquire
+  // above it passes (the death test below covers one beneath it).
+  if (!build.TryLock()) FAIL() << "uncontended TryLock failed";
+  {
+    MutexLock nested(manager);
+  }
   build.Unlock();
 }
 
-TEST_F(LockdepTest, PlantedFaultRecordsDeterministicViolation) {
-  Mutex pool(kLockRankCommonPool);
+TEST(LockRankCheckTest, UnrankedMutexesAreSkipped) {
+  static Mutex ranked(kLockRankCommonPool);
+  static Mutex metrics(kLockRankObsMetrics);
+  static Mutex unranked_inner;
+  static SharedMutex unranked_shared;
+  // A separate instance for the other nesting, so TSan's own
+  // lock-order detector sees no cycle within this test.
+  static Mutex unranked_outer;
   {
-    ScopedFault plant(kFaultCommonLockdepCheck, FaultSpec{.max_fires = 1});
-    MutexLock lock(pool);
+    MutexLock outer(ranked);
+    MutexLock inner(unranked_inner);
+    ReaderMutexLock reader(unranked_shared);
+    MutexLock innermost(metrics);  // checked against common.pool only
   }
-  const auto violations = lockdep::TakeViolations();
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].kind, "planted");
-  // The detail is a fixed string — chain- and address-free — so a
-  // NebulaCheck transcript diverges identically on every replay.
-  EXPECT_EQ(violations[0].detail,
-            "nebula lockdep: planted inversion via fault point "
-            "common.lockdep.check\n");
+  {
+    MutexLock outer(unranked_outer);
+    MutexLock inner(ranked);
+  }
 }
 
-TEST_F(LockdepTest, UnrankedMutexesAreTolerated) {
-  Mutex ranked(kLockRankCommonPool);
-  Mutex unranked;
-  MutexLock outer(ranked);
-  MutexLock inner(unranked);  // no rank: skipped, not reported
-  EXPECT_EQ(lockdep::ViolationsDetected(), 0u);
-  EXPECT_EQ(lockdep::HeldRanks().size(), 1u);
+TEST(LockRankCheckTest, NonLifoReleaseRemovesTheReleasedRank) {
+  static Mutex build(kLockRankStorageIndexBuild);  // tier 50
+  static Mutex pool(kLockRankCommonPool);          // tier 70
+  static Mutex metrics(kLockRankObsMetrics);       // tier 120
+  build.Lock();
+  pool.Lock();
+  build.Unlock();  // outer released first
+  metrics.Lock();
+  pool.Unlock();
+  metrics.Unlock();
+  // Had a release dropped the wrong entry, a stale storage.index_build
+  // would still be held and this acquire would abort.
+  MutexLock again(build);
 }
 
-TEST_F(LockdepTest, ResetClearsGraphAndCounters) {
-  Mutex build(kLockRankStorageIndexBuild);
-  Mutex pool(kLockRankCommonPool);
-  {
-    MutexLock outer(build);
-    MutexLock inner(pool);
-  }
-  EXPECT_EQ(lockdep::EdgesObserved(), 1u);
-  lockdep::ResetForTest();
-  EXPECT_EQ(lockdep::EdgesObserved(), 0u);
-  EXPECT_EQ(lockdep::ViolationsDetected(), 0u);
+TEST(LockRankCheckDeathTest, InversionAbortsWithTheHeldChain) {
+  static Mutex build(kLockRankStorageIndexBuild);    // tier 50
+  static Mutex manager(kLockRankDurabilityManager);  // tier 60
+  static Mutex pool(kLockRankCommonPool);            // tier 70
+  MutexLock outer(build);
+  MutexLock inner(pool);
+  EXPECT_DEATH(
+      { MutexLock wrong(manager); },
+      "lock-rank violation: acquiring durability.manager \\(tier 60\\)\n"
+      "  held \\(outermost first\\): storage.index_build \\(tier 50\\) -> "
+      "common.pool \\(tier 70\\)\n");
+}
+
+TEST(LockRankCheckDeathTest, EqualTierAborts) {
+  static Mutex a(kLockRankCommonPool);
+  static Mutex b(kLockRankCommonPool);
+  MutexLock outer(a);
+  EXPECT_DEATH(
+      { MutexLock inner(b); },
+      "acquiring common.pool \\(tier 70\\)\n"
+      "  held \\(outermost first\\): common.pool \\(tier 70\\)\n");
+}
+
+TEST(LockRankCheckDeathTest, RelockingTheSameMutexAbortsInsteadOfHanging) {
+  static Mutex mu(kLockRankCommonPool);
+  MutexLock outer(mu);
+  EXPECT_DEATH(LockAgain(mu), "acquiring common.pool \\(tier 70\\)");
+}
+
+TEST(LockRankCheckDeathTest, ReaderAcquireIsCheckedLikeAWriter) {
+  static SharedMutex index(kLockRankStorageIndexBuild);  // tier 50
+  static Mutex pool(kLockRankCommonPool);                // tier 70
+  MutexLock outer(pool);
+  EXPECT_DEATH(
+      { ReaderMutexLock reader(index); },
+      "acquiring storage.index_build \\(tier 50\\)\n"
+      "  held \\(outermost first\\): common.pool \\(tier 70\\)\n");
+}
+
+TEST(LockRankCheckDeathTest, NonLifoReleaseKeepsTheStillHeldRank) {
+  static Mutex build(kLockRankStorageIndexBuild);    // tier 50
+  static Mutex manager(kLockRankDurabilityManager);  // tier 60
+  static Mutex pool(kLockRankCommonPool);            // tier 70
+  build.Lock();
+  pool.Lock();
+  build.Unlock();
+  EXPECT_DEATH({ MutexLock below(manager); },
+               "acquiring durability.manager \\(tier 60\\)\n"
+               "  held \\(outermost first\\): common.pool \\(tier 70\\)\n");
+  pool.Unlock();
+}
+
+TEST(LockRankCheckDeathTest, TryLockedRankIsCheckedAgainst) {
+  static Mutex result_cache(kLockRankKeywordResultCache);  // tier 30
+  static Mutex build(kLockRankStorageIndexBuild);          // tier 50
+  static Mutex pool(kLockRankCommonPool);                  // tier 70
+  static Mutex unranked;
+  MutexLock outer(pool);
+  if (!build.TryLock()) FAIL() << "uncontended TryLock failed";
+  MutexLock skipped(unranked);
+  // Pushed after common.pool, so it is the innermost rank the blocking
+  // acquire fails against; the unranked mutex is not in the chain.
+  EXPECT_DEATH({ MutexLock below(result_cache); },
+               "acquiring keyword.resultcache \\(tier 30\\)\n"
+               "  held \\(outermost first\\): common.pool \\(tier 70\\) -> "
+               "storage.index_build \\(tier 50\\)\n");
+  build.Unlock();
 }
 
 }  // namespace
 }  // namespace nebula
-
-#else  // !NEBULA_LOCKDEP_ENABLED
-
-namespace nebula {
-namespace {
-
-TEST(LockdepDisabledTest, MacrosCompileToNothing) {
-  // The witness is compiled out: ranked construction still works and the
-  // sync wrappers cost nothing extra. The NebulaCheck `lockdep` pair
-  // proves bit-identical behavior across the two builds.
-  Mutex mu(kLockRankCommonPool);
-  MutexLock lock(mu);
-  SUCCEED();
-}
-
-}  // namespace
-}  // namespace nebula
-
-#endif  // NEBULA_LOCKDEP_ENABLED

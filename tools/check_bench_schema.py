@@ -6,8 +6,8 @@ ones and fails on SCHEMA drift: top-level keys, the per-record shape,
 the set of record names, and each record's param-key list. Numbers are
 deliberately ignored — timings differ per machine; the shape must not.
 Committed sidecars must additionally come from an unperturbed build:
-one stamped "build": {"lockdep": true, ...} or a nonempty sanitizer
-fails the check outright (instrumented numbers are not comparable).
+one stamped with a nonempty "build": {"sanitizer": ...} fails the check
+outright (instrumented numbers are not comparable).
 
 Usage:
   check_bench_schema.py --committed DIR --generated DIR name [name ...]
@@ -23,7 +23,7 @@ import sys
 
 RECORD_KEYS = ["name", "params", "wall_us", "rows_examined"]
 TOP_KEYS = ["bench", "quick_mode", "build", "records", "metrics"]
-BUILD_KEYS = ["lockdep", "sanitizer"]
+BUILD_KEYS = ["sanitizer"]
 
 # The loadgen harness reports a percentile ladder per operation type on
 # top of the base record shape.
@@ -72,14 +72,10 @@ def check_percentiles(rec, label, errors):
 def check_committed_build(doc, label, errors):
     """Committed numbers must come from an unperturbed build.
 
-    A lockdep or sanitizer build measures the instrumentation, not the
-    engine; such a sidecar may be generated locally but never committed.
+    A sanitizer build measures the instrumentation, not the engine; such
+    a sidecar may be generated locally but never committed.
     """
     build = doc.get("build", {})
-    if build.get("lockdep") is not False:
-        errors.append("%s: measured with the lockdep witness compiled in "
-                      "(build.lockdep=%r) — regenerate from a plain release "
-                      "build" % (label, build.get("lockdep")))
     if build.get("sanitizer", "") != "":
         errors.append("%s: measured under -DNEBULA_SANITIZE=%s — regenerate "
                       "from a plain release build"

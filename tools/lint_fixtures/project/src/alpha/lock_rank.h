@@ -1,5 +1,5 @@
-// Fixture rank constants. kLockRankAlphaGhost is the [lock-rank-unknown]
-// plant: its rank name is not in tools/lock_ranks.txt.
+// Fixture rank constants: the registry the concurrency pass reads tiers
+// from.
 #ifndef NEBULA_ALPHA_LOCK_RANK_H_
 #define NEBULA_ALPHA_LOCK_RANK_H_
 
@@ -10,6 +10,5 @@ struct LockRank {
 
 inline constexpr LockRank kLockRankAlphaOuter = {"alpha.outer", 10};
 inline constexpr LockRank kLockRankAlphaInner = {"alpha.inner", 20};
-inline constexpr LockRank kLockRankAlphaGhost = {"alpha.ghost", 30};
 
 #endif  // NEBULA_ALPHA_LOCK_RANK_H_

@@ -1,9 +1,9 @@
 // nebula_check — the NebulaCheck differential test harness CLI.
 //
 // Sweeps seeds through the engine under paired configurations
-// (sequential vs pooled, single vs batch ingest, observability quiet vs
-// exercised, full search vs focal spreading, value index vs legacy
-// scan) and fails loudly when two
+// (sequential vs pooled ingest, observability quiet vs exercised, full
+// search vs focal spreading, value index vs legacy scan, durability off
+// vs on) and fails loudly when two
 // runs that must agree do not. Divergences are minimized into replayable
 // repro files.
 //
@@ -15,7 +15,7 @@
 //
 //   nebula_check                         # default sweep, all pairs
 //   nebula_check --seeds 200             # CI smoke sweep
-//   nebula_check --seed 42 --pair batch  # one seed, one pair
+//   nebula_check --seed 42 --pair obs    # one seed, one pair
 //   nebula_check --digest --seeds 50     # print canonical digests
 //   nebula_check --replay repro.txt      # re-run a saved repro
 //   nebula_check --crash --seeds 25      # CI crash-recovery sweep
@@ -54,9 +54,8 @@ void PrintUsage(std::ostream& out) {
          "  --snapshot-every N  crash sweep: snapshot cadence in committed "
          "operations; 0 = WAL only (default 2)\n"
          "  --inject-bug    deliberately plant a bug (differential sweep: "
-         "mis-configure one side, or a lockdep inversion on the lockdep "
-         "pair; crash sweep: perturb WAL replay — pair with "
-         "--snapshot-every 0)\n"
+         "mis-configure one side; crash sweep: perturb WAL replay — pair "
+         "with --snapshot-every 0)\n"
          "  --help          this text\n"
          "config pairs (--pair):\n";
   // Generated from kAllConfigPairs so this list can never drift from the
@@ -79,9 +78,7 @@ void PrintUsage(std::ostream& out) {
     out << nebula::check::CrashModeDescription(mode) << "\n";
   }
   out << "environment:\n"
-         "  NEBULA_CHECK_SEED  overrides the sweep with that single seed\n"
-         "  NEBULA_LOCKDEP     1 arms the runtime lock-order witness "
-         "(lockdep builds)\n";
+         "  NEBULA_CHECK_SEED  overrides the sweep with that single seed\n";
 }
 
 bool ParseU64(const char* s, uint64_t* out) {

@@ -21,14 +21,10 @@
 //   concurrency  [lock-rank-missing] a nebula::Mutex/SharedMutex member
 //                                 or global declared without a
 //                                 kLockRank* constructor argument.
-//                [lock-rank-unknown] a rank constant that is not
-//                                 declared in common/lock_rank.h, or a
-//                                 lock_rank.h constant whose name/tier
-//                                 disagrees with tools/lock_ranks.txt.
-//                [lock-order]     a nested MutexLock scope or an
-//                                 ACQUIRED_AFTER edge that contradicts
-//                                 the rank DAG, reported with the full
-//                                 acquisition chain.
+//                [lock-order]     a nested MutexLock scope that
+//                                 contradicts the rank tiers declared in
+//                                 common/lock_rank.h, reported with the
+//                                 full acquisition chain.
 //                [guarded-coverage] a field written under a MutexLock
 //                                 scope whose declaration carries no
 //                                 GUARDED_BY annotation.
@@ -168,21 +164,11 @@ void RunHygienePass(const SourceTree& tree, Report* report);
 /// [dropped-status].
 void RunDisciplinePass(const SourceTree& tree, Report* report);
 
-/// Lock-rank registry: the acquisition-order DAG embedded in a total
-/// order of integer tiers, one `<tier> <name>` line per rank, strictly
-/// ascending. Loaded from tools/lock_ranks.txt.
-struct LockRankRegistry {
-  std::map<std::string, int> tier_of;  ///< rank name -> tier
-  std::vector<std::string> order;      ///< names in registry (tier) order
-
-  static LockRankRegistry Load(const fs::path& path, std::string* error);
-};
-
-/// [lock-rank-missing] + [lock-rank-unknown] + [lock-order] +
-/// [guarded-coverage]. Only src/ files are constrained (tests may build
-/// private rank sets for the lockdep witness's own fixtures).
-void RunConcurrencyPass(const SourceTree& tree,
-                        const LockRankRegistry& registry, Report* report);
+/// [lock-rank-missing] + [lock-order] + [guarded-coverage]. Rank tiers
+/// come from the kLockRank* constants of the tree's lock_rank.h. Only
+/// src/ files are constrained (tests may build private rank sets for the
+/// rank check's own fixtures).
+void RunConcurrencyPass(const SourceTree& tree, Report* report);
 
 /// SQL sink registry: the functions whose returned strings are executed
 /// or cached as SQL, plus the escaping layer that makes pieces of them

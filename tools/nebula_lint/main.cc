@@ -5,9 +5,9 @@
 //               [--json <file>] [--timings]
 //       All passes over src/, tools/, tests/. Findings whose baseline key
 //       appears in the baseline file are suppressed — EXCEPT [layer-dag],
-//       [include-cycle], the four concurrency rules
-//       ([lock-rank-missing], [lock-rank-unknown], [lock-order],
-//       [guarded-coverage]), and the three dataflow rules ([sql-taint],
+//       [include-cycle], the three concurrency rules
+//       ([lock-rank-missing], [lock-order], [guarded-coverage]), and the
+//       three dataflow rules ([sql-taint],
 //       [unordered-iteration], [unchecked-io]), which are never
 //       baselinable: the layer DAG, the lock-rank DAG, and the SQL/IO
 //       contracts hold everywhere, always. --update-baseline rewrites the
@@ -35,12 +35,11 @@ namespace nebula_lint {
 namespace {
 
 const char* const kRules[] = {
-    "naked-sync",        "fault-name",        "nondeterminism",
-    "layer-dag",         "include-cycle",     "include-guard",
-    "unused-include",    "missing-include",   "dropped-status",
-    "lock-rank-missing", "lock-rank-unknown", "lock-order",
-    "guarded-coverage",  "sql-taint",         "unordered-iteration",
-    "unchecked-io",
+    "naked-sync",        "fault-name",          "nondeterminism",
+    "layer-dag",         "include-cycle",       "include-guard",
+    "unused-include",    "missing-include",     "dropped-status",
+    "lock-rank-missing", "lock-order",          "guarded-coverage",
+    "sql-taint",         "unordered-iteration", "unchecked-io",
 };
 
 /// Rules that can never be baselined: the layer DAG, the lock-rank DAG,
@@ -48,8 +47,8 @@ const char* const kRules[] = {
 /// an entry in the baseline file for one of these is ignored.
 bool IsLayerRule(const std::string& rule) {
   return rule == "layer-dag" || rule == "include-cycle" ||
-         rule == "lock-rank-missing" || rule == "lock-rank-unknown" ||
-         rule == "lock-order" || rule == "guarded-coverage" ||
+         rule == "lock-rank-missing" || rule == "lock-order" ||
+         rule == "guarded-coverage" ||
          rule == "sql-taint" || rule == "unordered-iteration" ||
          rule == "unchecked-io";
 }
@@ -164,12 +163,6 @@ int RunFull(const fs::path& root, const fs::path& baseline_path,
     std::cerr << "nebula_lint: " << error << "\n";
     return 2;
   }
-  const LockRankRegistry registry =
-      LockRankRegistry::Load(root / "tools" / "lock_ranks.txt", &error);
-  if (!error.empty()) {
-    std::cerr << "nebula_lint: " << error << "\n";
-    return 2;
-  }
   const SqlSinkRegistry sinks =
       SqlSinkRegistry::Load(root / "tools" / "sql_sinks.txt", &error);
   if (!error.empty()) {
@@ -203,7 +196,7 @@ int RunFull(const fs::path& root, const fs::path& baseline_path,
   timed("layers", [&] { RunLayerPass(tree, manifest, &report); });
   timed("hygiene", [&] { RunHygienePass(tree, &report); });
   timed("discipline", [&] { RunDisciplinePass(tree, &report); });
-  timed("concurrency", [&] { RunConcurrencyPass(tree, registry, &report); });
+  timed("concurrency", [&] { RunConcurrencyPass(tree, &report); });
   timed("dataflow", [&] { RunDataflowPass(tree, sinks, &report); });
 
   std::vector<Finding> findings = report.findings();
@@ -294,12 +287,6 @@ int RunSelfTest(const fs::path& fixtures) {
     std::cerr << "nebula_lint self-test: " << error << "\n";
     return 2;
   }
-  const LockRankRegistry registry = LockRankRegistry::Load(
-      project / "tools" / "lock_ranks.txt", &error);
-  if (!error.empty()) {
-    std::cerr << "nebula_lint self-test: " << error << "\n";
-    return 2;
-  }
   const SqlSinkRegistry sinks =
       SqlSinkRegistry::Load(project / "tools" / "sql_sinks.txt", &error);
   if (!error.empty()) {
@@ -312,7 +299,7 @@ int RunSelfTest(const fs::path& fixtures) {
   RunLayerPass(project_tree, manifest, &report);
   RunHygienePass(project_tree, &report);
   RunDisciplinePass(project_tree, &report);
-  RunConcurrencyPass(project_tree, registry, &report);
+  RunConcurrencyPass(project_tree, &report);
   RunDataflowPass(project_tree, sinks, &report);
 
   // Every rule must catch exactly its plants, counted per planted FILE —
@@ -336,10 +323,7 @@ int RunSelfTest(const fs::path& fixtures) {
       {"missing-include", 1, "missing_inc.cc"},
       {"dropped-status", 1, "dropped.cc"},
       {"lock-rank-missing", 1, "rank_missing.h"},
-      {"lock-rank-unknown", 1, "lock_rank.h"},
-      {"lock-rank-unknown", 1, "rank_unknown.h"},
       {"lock-order", 1, "lock_order.cc"},
-      {"lock-order", 1, "order_attr.h"},
       {"guarded-coverage", 1, "guarded.cc"},
       {"nondeterminism", 1, "scanner_stress.cc"},
       {"layer-dag", 1, "lowstub.h"},

@@ -1,87 +1,39 @@
 // Concurrency-contract enforcement: the static layer of the lock-rank
-// DAG (DESIGN.md "Concurrency contracts").
+// order (DESIGN.md §9 "Lock ranks & the always-on rank check").
 //
-// The contract has one source of truth — tools/lock_ranks.txt, a total
-// order of integer tiers the acquisition DAG embeds into — and two
-// mirrors: the kLockRank* constants in src/common/lock_rank.h that
-// mutexes are constructed with, and the runtime lockdep witness that
-// validates real acquires. This pass pins the mirrors to the source:
+// The order has one registry — the `inline constexpr LockRank kLockRank*`
+// constants in src/common/lock_rank.h, whose tiers this pass reads
+// straight from the header — and a runtime check inside nebula::Mutex
+// (common/sync.cc) that validates real acquires in every build. This
+// pass covers what the text shows:
 //
 //   [lock-rank-missing]  a nebula::Mutex / SharedMutex member or global
 //                        in src/ declared without a kLockRank* argument.
-//   [lock-rank-unknown]  a kLockRank* constant used but never declared
-//                        in a lock_rank.h, or declared with a rank name
-//                        or tier the registry does not agree with.
 //   [lock-order]         a textually nested MutexLock/WriterMutexLock/
-//                        ReaderMutexLock scope — or an ACQUIRED_AFTER /
-//                        ACQUIRED_BEFORE attribute edge — that acquires
-//                        a rank whose tier is not strictly above every
-//                        rank already held; reported with the full
-//                        acquisition chain, like [include-cycle].
+//                        ReaderMutexLock scope that acquires a rank whose
+//                        tier is not strictly above every rank already
+//                        held; reported with the full acquisition chain,
+//                        like [include-cycle].
 //   [guarded-coverage]   a trailing-underscore field assigned under a
 //                        lock scope whose declaration carries no
 //                        GUARDED_BY annotation.
 //
-// All four rules are never baselinable: the DAG holds everywhere,
+// All three rules are never baselinable: the order holds everywhere,
 // always. The analysis is textual and conservative — a lock argument is
 // resolved to a rank only when the trailing identifier names exactly one
 // ranked declaration in the file, its paired header, or the whole tree
 // (ambiguous names like the many per-class `mutex_` are skipped); a
 // field write is reported only when its declaration is found and is
-// neither annotated nor atomic. The runtime witness covers what the
-// text cannot.
+// neither annotated nor atomic. The runtime check covers what the text
+// cannot.
 
 #include "lint.h"
 
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 namespace nebula_lint {
-
-LockRankRegistry LockRankRegistry::Load(const fs::path& path,
-                                        std::string* error) {
-  LockRankRegistry registry;
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open lock-rank registry " + path.string();
-    return registry;
-  }
-  std::string line;
-  int last_tier = -1;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    int tier = 0;
-    std::string name;
-    if (!(fields >> tier >> name)) continue;  // blank / comment-only line
-    std::string extra;
-    if (fields >> extra) {
-      *error = "lock-rank registry " + path.string() +
-               ": trailing tokens after '" + name + "'";
-      return registry;
-    }
-    if (registry.tier_of.count(name) != 0) {
-      *error = "rank '" + name + "' appears twice in " + path.string();
-      return registry;
-    }
-    if (tier <= last_tier) {
-      *error = "lock-rank registry " + path.string() +
-               " is not strictly ascending at rank '" + name + "'";
-      return registry;
-    }
-    last_tier = tier;
-    registry.tier_of[name] = tier;
-    registry.order.push_back(name);
-  }
-  if (registry.order.empty()) {
-    *error = "lock-rank registry " + path.string() + " declares no ranks";
-  }
-  return registry;
-}
 
 namespace {
 
@@ -90,8 +42,6 @@ namespace {
 struct RankConstant {
   std::string rank_name;  ///< the quoted name, e.g. "common.pool"
   int tier = 0;
-  std::string file;  ///< rel of the declaring lock_rank.h
-  size_t line = 0;
 };
 
 /// A ranked (or unranked) mutex declaration site.
@@ -184,32 +134,29 @@ std::string TrailingIdent(const std::string& expr) {
   return expr.substr(start, end - start);
 }
 
-/// Skip primitive / witness implementation files: sync.h and lockdep.*
-/// define the machinery the contract rides on.
+/// Skip the primitive itself: sync.h defines the machinery the contract
+/// rides on.
 bool IsPrimitiveFile(const std::string& rel) {
-  return EndsWith(rel, "/sync.h") || EndsWith(rel, "/lockdep.h") ||
-         EndsWith(rel, "/lockdep.cc");
+  return EndsWith(rel, "/sync.h");
 }
 
 /// Thread-safety attributes that may sit between a declarator and its
 /// initializer; ExtractMutexDecls steps over them.
 bool IsDeclAttribute(const std::string& word) {
-  return word == "ACQUIRED_AFTER" || word == "ACQUIRED_BEFORE" ||
-         word == "GUARDED_BY" || word == "PT_GUARDED_BY" || word == "EXCLUDES";
+  return word == "GUARDED_BY" || word == "PT_GUARDED_BY" || word == "EXCLUDES";
 }
 
 /// Extracts kLockRank* constant declarations from a lock_rank.h. Works
 /// on raw lines: the rank name lives in a string literal, which
-/// code_lines blanks out.
+/// code_lines blanks out. A line this cannot parse is skipped — the
+/// compiler owns the header's syntax.
 void ExtractRankConstants(const SourceFile& file,
                           std::vector<RankConstant>* constants,
-                          std::map<std::string, size_t>* index_by_ident,
-                          Report* report) {
+                          std::map<std::string, size_t>* index_by_ident) {
   const Flat flat(file.raw_lines);
   size_t pos = 0;
   while ((pos = FindTokenFrom(flat.text, "LockRank", pos)) !=
          std::string::npos) {
-    const size_t at = pos;
     pos += std::strlen("LockRank");
     size_t cursor = SkipSpace(flat.text, pos);
     const std::string ident = ReadIdent(flat.text, cursor);
@@ -222,24 +169,15 @@ void ExtractRankConstants(const SourceFile& file,
     const size_t quote_open = flat.text.find('"', cursor);
     if (close == std::string::npos || quote_open == std::string::npos ||
         quote_open > close) {
-      report->Add(file.rel, flat.LineOf(at), "lock-rank-unknown",
-                  "cannot parse rank constant '" + ident +
-                      "' (expected {\"name\", tier})");
       continue;
     }
     const size_t quote_close = flat.text.find('"', quote_open + 1);
     if (quote_close == std::string::npos || quote_close > close) continue;
+    const size_t comma = flat.text.find(',', quote_close);
+    if (comma == std::string::npos || comma > close) continue;
     RankConstant constant;
     constant.rank_name =
         flat.text.substr(quote_open + 1, quote_close - quote_open - 1);
-    constant.file = file.rel;
-    constant.line = flat.LineOf(at);
-    const size_t comma = flat.text.find(',', quote_close);
-    if (comma == std::string::npos || comma > close) {
-      report->Add(file.rel, constant.line, "lock-rank-unknown",
-                  "rank constant '" + ident + "' has no tier");
-      continue;
-    }
     constant.tier = std::atoi(flat.text.c_str() + comma + 1);
     (*index_by_ident)[ident] = constants->size();
     constants->push_back(std::move(constant));
@@ -262,7 +200,7 @@ void ExtractMutexDecls(const Flat& flat, std::vector<MutexDecl>* decls) {
       const std::string name = ReadIdent(flat.text, cursor);
       if (name.empty() || name.rfind("kLockRank", 0) == 0) continue;
       cursor = SkipSpace(flat.text, cursor + name.size());
-      // Step over attributes: Mutex a_ ACQUIRED_AFTER(b_){kRank};
+      // Step over attributes: Mutex a_ GUARDED_BY(b_){kRank};
       for (;;) {
         const std::string word = ReadIdent(flat.text, cursor);
         if (!IsDeclAttribute(word)) break;
@@ -292,50 +230,6 @@ void ExtractMutexDecls(const Flat& flat, std::vector<MutexDecl>* decls) {
       }
       // Anything else (&, *, ',', ')') is a reference, pointer, or
       // parameter — not a declaration this pass owns.
-    }
-  }
-}
-
-/// `ACQUIRED_AFTER(a_)` / `ACQUIRED_BEFORE(x_)` attribute edges on a
-/// mutex declaration: `Mutex subject_ ACQUIRED_AFTER(a_, b_)...`.
-struct AttrEdge {
-  std::string before;  ///< member acquired first
-  std::string after;   ///< member acquired second
-  size_t line = 0;
-};
-
-void ExtractAttrEdges(const Flat& flat, std::vector<AttrEdge>* edges) {
-  for (const char* attr : {"ACQUIRED_AFTER", "ACQUIRED_BEFORE"}) {
-    const bool after_form = std::strcmp(attr, "ACQUIRED_AFTER") == 0;
-    size_t pos = 0;
-    while ((pos = FindTokenFrom(flat.text, attr, pos)) != std::string::npos) {
-      const size_t at = pos;
-      const size_t line = flat.LineOf(at);
-      pos += std::strlen(attr);
-      const size_t open = SkipSpace(flat.text, pos);
-      if (open >= flat.text.size() || flat.text[open] != '(') continue;
-      const size_t close = flat.text.find(')', open);
-      if (close == std::string::npos) continue;
-      // The annotated mutex is the declared identifier to the left of
-      // the attribute: ... Mutex <name> ACQUIRED_AFTER(<args>);
-      const std::string subject = TrailingIdent(flat.text.substr(0, at));
-      if (subject.empty()) continue;
-      const std::string args = flat.text.substr(open + 1, close - open - 1);
-      size_t start = 0;
-      while (start <= args.size()) {
-        size_t comma = args.find(',', start);
-        if (comma == std::string::npos) comma = args.size();
-        const std::string arg = TrailingIdent(args.substr(start, comma - start));
-        if (!arg.empty()) {
-          AttrEdge edge;
-          edge.line = line;
-          edge.before = after_form ? arg : subject;
-          edge.after = after_form ? subject : arg;
-          edges->push_back(edge);
-        }
-        if (comma == args.size()) break;
-        start = comma + 1;
-      }
     }
   }
 }
@@ -453,9 +347,8 @@ struct HeldLock {
 
 }  // namespace
 
-void RunConcurrencyPass(const SourceTree& tree,
-                        const LockRankRegistry& registry, Report* report) {
-  // ---- Collect the rank-constant mirror and every mutex declaration.
+void RunConcurrencyPass(const SourceTree& tree, Report* report) {
+  // ---- Collect the rank constants and every mutex declaration.
   std::vector<RankConstant> constants;
   std::map<std::string, size_t> constant_index;
   std::map<std::string, std::vector<MutexDecl>> decls_by_file;
@@ -464,7 +357,7 @@ void RunConcurrencyPass(const SourceTree& tree,
   for (const SourceFile& file : tree.files) {
     if (file.rel.rfind("src/", 0) != 0 || IsPrimitiveFile(file.rel)) continue;
     if (EndsWith(file.rel, "/lock_rank.h")) {
-      ExtractRankConstants(file, &constants, &constant_index, report);
+      ExtractRankConstants(file, &constants, &constant_index);
       continue;
     }
     const Flat flat(file.code_lines);
@@ -476,28 +369,12 @@ void RunConcurrencyPass(const SourceTree& tree,
                     "mutex '" + decl.member +
                         "' is declared without a lock rank; construct it "
                         "with a kLockRank* constant from "
-                        "common/lock_rank.h (see tools/lock_ranks.txt)");
+                        "common/lock_rank.h");
       } else {
         member_ranks.Add(file.rel, decl.member, decl.constant);
       }
     }
     decls_by_file[file.rel] = std::move(decls);
-  }
-
-  // ---- The mirror must agree with the registry.
-  for (const RankConstant& constant : constants) {
-    auto it = registry.tier_of.find(constant.rank_name);
-    if (it == registry.tier_of.end()) {
-      report->Add(constant.file, constant.line, "lock-rank-unknown",
-                  "rank '" + constant.rank_name +
-                      "' is not in the registry (tools/lock_ranks.txt)");
-    } else if (it->second != constant.tier) {
-      report->Add(constant.file, constant.line, "lock-rank-unknown",
-                  "rank '" + constant.rank_name + "' has tier " +
-                      std::to_string(constant.tier) + " here but tier " +
-                      std::to_string(it->second) +
-                      " in the registry (tools/lock_ranks.txt)");
-    }
   }
 
   auto rank_of = [&](const std::string& ident) -> const RankConstant* {
@@ -513,42 +390,6 @@ void RunConcurrencyPass(const SourceTree& tree,
       continue;
     }
     const Flat flat(file.code_lines);
-
-    // Every used rank constant must be declared in a lock_rank.h.
-    for (const MutexDecl& decl : decls_by_file[file.rel]) {
-      if (!decl.constant.empty() && rank_of(decl.constant) == nullptr) {
-        report->Add(file.rel, decl.line, "lock-rank-unknown",
-                    "rank constant '" + decl.constant +
-                        "' is not declared in common/lock_rank.h");
-      }
-    }
-
-    // ACQUIRED_AFTER / ACQUIRED_BEFORE edges must point up the DAG.
-    std::vector<AttrEdge> edges;
-    ExtractAttrEdges(flat, &edges);
-    for (const AttrEdge& edge : edges) {
-      const std::string before_const =
-          member_ranks.Resolve(file.rel, edge.before);
-      const std::string after_const =
-          member_ranks.Resolve(file.rel, edge.after);
-      const RankConstant* before_rank =
-          before_const.empty() ? nullptr : rank_of(before_const);
-      const RankConstant* after_rank =
-          after_const.empty() ? nullptr : rank_of(after_const);
-      if (before_rank == nullptr || after_rank == nullptr) continue;
-      if (after_rank->tier <= before_rank->tier) {
-        report->Add(
-            file.rel, edge.line, "lock-order",
-            "attribute edge contradicts the rank DAG: '" + edge.before +
-                "' (" + before_rank->rank_name + ", tier " +
-                std::to_string(before_rank->tier) +
-                ") is declared acquired before '" + edge.after + "' (" +
-                after_rank->rank_name + ", tier " +
-                std::to_string(after_rank->tier) +
-                "), but tiers must strictly increase "
-                "(tools/lock_ranks.txt)");
-      }
-    }
 
     // Scope walk: brace depth + the stack of RAII lock scopes.
     std::vector<HeldLock> held;
@@ -617,8 +458,8 @@ void RunConcurrencyPass(const SourceTree& tree,
                 "acquiring '" + member + "' rank " + lock.rank + " (tier " +
                     std::to_string(lock.tier) + ") while holding " +
                     inner->rank + " (tier " + std::to_string(inner->tier) +
-                    "); the rank DAG requires strictly increasing tiers "
-                    "(tools/lock_ranks.txt); acquisition chain: " + chain);
+                    "); blocking acquires need strictly increasing tiers "
+                    "(common/lock_rank.h); acquisition chain: " + chain);
           }
         }
         held.push_back(lock);

@@ -191,10 +191,9 @@ bool EmitSidecar(const Options& opts, const std::vector<OpSeries*>& series) {
   out += std::string("  \"quick_mode\": ") + (quick ? "true" : "false") +
          ",\n";
   // Same build-provenance stamp as bench_util's EmitBenchJson: the
-  // schema checker refuses committed sidecars measured under the
-  // lockdep witness or a sanitizer.
-  out += std::string("  \"build\": {\"lockdep\": ") +
-         (NEBULA_LOCKDEP_ENABLED ? "true" : "false") + ", \"sanitizer\": \"" +
+  // schema checker refuses committed sidecars measured under a
+  // sanitizer.
+  out += std::string("  \"build\": {\"sanitizer\": \"") +
          std::string(NEBULA_SANITIZE_NAME) + "\"},\n  \"records\": [";
   for (size_t i = 0; i < series.size(); ++i) {
     const OpSeries& s = *series[i];

@@ -136,7 +136,7 @@ NEBULA_LINT_RULES='naked-sync|fault-name|nondeterminism|layer-dag'
 NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|include-cycle|include-guard"
 NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|unused-include|missing-include"
 NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|dropped-status|lock-rank-missing"
-NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|lock-rank-unknown|lock-order"
+NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|lock-order"
 NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|guarded-coverage"
 NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|sql-taint|unordered-iteration"
 NEBULA_LINT_RULES="${NEBULA_LINT_RULES}|unchecked-io"
